@@ -65,6 +65,30 @@ fn blocking_inversion_panics_naming_both_sites() {
     );
 }
 
+/// A rejected acquisition never proceeds, so it must leave no edge in the
+/// process-global graph — otherwise a sibling test's seeded inversion
+/// plants a cycle that a later `assert_acyclic` reports.
+#[test]
+fn rejected_inversion_records_no_edge() {
+    let _watchdog = Watchdog::arm(
+        "rejected_inversion_records_no_edge",
+        Duration::from_secs(120),
+    );
+    let high = Mutex::with_rank((), 9_700, "witness.test.rejected-high");
+    let low = Mutex::with_rank((), 9_600, "witness.test.rejected-low");
+
+    witness_panic(|| {
+        let _h = high.lock();
+        let _l = low.lock();
+    });
+
+    let planted = order::edges().into_iter().any(|((from, to), _)| {
+        from.1 == "witness.test.rejected-high" && to.1 == "witness.test.rejected-low"
+    });
+    assert!(!planted, "the rejected edge must not be recorded");
+    order::assert_acyclic();
+}
+
 #[test]
 fn equal_rank_blocking_also_panics() {
     let _watchdog = Watchdog::arm("equal_rank_blocking_also_panics", Duration::from_secs(120));

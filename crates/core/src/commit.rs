@@ -6,8 +6,6 @@
 //! serialisation dependency): a commit timestamp followed by a list of
 //! operations, each carrying the token-level state the store needs.
 
-use std::collections::BTreeMap;
-
 use graphsi_storage::{
     GraphStore, LabelToken, NodeId, PropertyKeyToken, PropertyValue, RelTypeToken, RelationshipId,
 };
@@ -471,27 +469,16 @@ pub fn record_footprint(
 }
 
 /// Applies a commit record to the persistent store, installing the newest
-/// committed version of every touched entity. The commit timestamp is
-/// persisted as an extra, reserved property on each entity — exactly the
-/// "additional property ... for keeping the commit timestamp" of §4 — so a
-/// reopened database can seed cache base versions correctly.
+/// committed version of every touched entity. The commit timestamp goes
+/// into each entity's record — the paper's "additional property ... for
+/// keeping the commit timestamp" (§4), kept in the fixed-size record so
+/// readers decide visibility without walking the property chain — and a
+/// reopened database seeds cache base versions from it.
 ///
 /// With `idempotent` set (recovery replay) the function tolerates
 /// operations whose effect is already present in the store.
-pub fn apply_to_store(
-    store: &GraphStore,
-    record: &CommitRecord,
-    commit_ts_key: PropertyKeyToken,
-    idempotent: bool,
-) -> Result<()> {
-    // The reserved commit-ts property is appended to each entity's chain by
-    // the store layer itself (`extra` parameter), so no op ever clones its
-    // property list just to attach the timestamp.
-    let ts_prop = (
-        commit_ts_key,
-        PropertyValue::Int(record.commit_ts.raw() as i64),
-    );
-    let extra = Some(&ts_prop);
+pub fn apply_to_store(store: &GraphStore, record: &CommitRecord, idempotent: bool) -> Result<()> {
+    let ts = record.commit_ts.raw();
     for op in &record.ops {
         match op {
             CommitOp::CreateNode {
@@ -504,14 +491,13 @@ pub fn apply_to_store(
                 labels,
                 properties,
             } => {
-                let exists = store.node_exists(*id)?;
-                if exists {
-                    store.update_node_with(*id, labels, properties, extra)?;
+                if store.node_exists(*id)? {
+                    store.update_node_at(*id, labels, properties, ts)?;
                 } else {
                     if matches!(op, CommitOp::UpdateNode { .. }) && !idempotent {
                         return Err(DbError::NodeNotFound(*id));
                     }
-                    store.create_node_with(*id, labels, properties, extra)?;
+                    store.create_node_at(*id, labels, properties, ts)?;
                     store.bump_high_ids(id.raw() + 1, 0);
                 }
             }
@@ -531,17 +517,16 @@ pub fn apply_to_store(
             } => {
                 if store.relationship_exists(*id)? {
                     // Already applied (recovery after a partial flush).
-                    store.update_relationship_with(*id, properties, extra)?;
+                    store.update_relationship_at(*id, properties, ts)?;
                 } else {
-                    store.create_relationship_with(
-                        *id, *source, *target, *rel_type, properties, extra,
-                    )?;
+                    store
+                        .create_relationship_at(*id, *source, *target, *rel_type, properties, ts)?;
                     store.bump_high_ids(0, id.raw() + 1);
                 }
             }
             CommitOp::UpdateRelationship { id, properties } => {
                 if store.relationship_exists(*id)? {
-                    store.update_relationship_with(*id, properties, extra)?;
+                    store.update_relationship_at(*id, properties, ts)?;
                 } else if !idempotent {
                     return Err(DbError::RelationshipNotFound(*id));
                 }
@@ -556,27 +541,6 @@ pub fn apply_to_store(
         }
     }
     Ok(())
-}
-
-/// Extracts the reserved commit-timestamp property from a stored property
-/// list, returning the timestamp (defaulting to bootstrap for pre-SI data)
-/// and the remaining user-visible properties.
-pub fn split_commit_ts(
-    properties: Vec<(PropertyKeyToken, PropertyValue)>,
-    commit_ts_key: PropertyKeyToken,
-) -> (Timestamp, BTreeMap<PropertyKeyToken, PropertyValue>) {
-    let mut ts = Timestamp::BOOTSTRAP;
-    let mut out = BTreeMap::new();
-    for (key, value) in properties {
-        if key == commit_ts_key {
-            if let PropertyValue::Int(raw) = value {
-                ts = Timestamp(raw as u64);
-            }
-        } else {
-            out.insert(key, value);
-        }
-    }
-    (ts, out)
 }
 
 #[cfg(test)]
@@ -797,7 +761,6 @@ mod tests {
     fn apply_and_reapply_idempotently() {
         let dir = TempDir::new("commit_apply");
         let store = GraphStore::open(dir.path(), GraphStoreConfig::default()).unwrap();
-        let ts_key = PropertyKeyToken(1000);
         let record = CommitRecord {
             commit_ts: Timestamp(5),
             ops: vec![
@@ -820,41 +783,46 @@ mod tests {
                 },
             ],
         };
-        apply_to_store(&store, &record, ts_key, false).unwrap();
+        apply_to_store(&store, &record, false).unwrap();
         // Replaying the same record (recovery) must not duplicate anything.
-        apply_to_store(&store, &record, ts_key, true).unwrap();
+        apply_to_store(&store, &record, true).unwrap();
         assert_eq!(store.scan_node_ids().unwrap().len(), 2);
         assert_eq!(store.scan_relationship_ids().unwrap().len(), 1);
         assert_eq!(store.node_degree(NodeId::new(0)).unwrap(), 1);
 
         let stored = store.read_node(NodeId::new(0)).unwrap().unwrap();
-        let (ts, props) = split_commit_ts(stored.properties, ts_key);
-        assert_eq!(ts, Timestamp(5));
+        assert_eq!(stored.commit_ts, 5);
         assert_eq!(
-            props.get(&PropertyKeyToken(0)),
-            Some(&PropertyValue::Int(1))
+            stored.properties,
+            vec![(PropertyKeyToken(0), PropertyValue::Int(1))]
         );
+        let rel = store.read_relationship(RelationshipId::new(0)).unwrap();
+        assert_eq!(rel.unwrap().commit_ts, 5);
     }
 
     #[test]
     fn strict_apply_rejects_missing_entities() {
         let dir = TempDir::new("commit_strict");
         let store = GraphStore::open(dir.path(), GraphStoreConfig::default()).unwrap();
-        let ts_key = PropertyKeyToken(1000);
         let record = CommitRecord {
             commit_ts: Timestamp(1),
             ops: vec![CommitOp::DeleteNode { id: NodeId::new(7) }],
         };
-        assert!(apply_to_store(&store, &record, ts_key, false).is_err());
-        assert!(apply_to_store(&store, &record, ts_key, true).is_ok());
+        assert!(apply_to_store(&store, &record, false).is_err());
+        assert!(apply_to_store(&store, &record, true).is_ok());
     }
 
     #[test]
-    fn split_commit_ts_defaults_to_bootstrap() {
-        let ts_key = PropertyKeyToken(1000);
-        let (ts, props) =
-            split_commit_ts(vec![(PropertyKeyToken(0), PropertyValue::Int(1))], ts_key);
-        assert_eq!(ts, Timestamp::BOOTSTRAP);
-        assert_eq!(props.len(), 1);
+    fn plain_store_writes_carry_the_bootstrap_timestamp() {
+        let dir = TempDir::new("commit_bootstrap_ts");
+        let store = GraphStore::open(dir.path(), GraphStoreConfig::default()).unwrap();
+        let id = NodeId::new(0);
+        store.bump_high_ids(1, 0);
+        store
+            .create_node(id, &[], &[(PropertyKeyToken(0), PropertyValue::Int(1))])
+            .unwrap();
+        let stored = store.read_node(id).unwrap().unwrap();
+        assert_eq!(Timestamp(stored.commit_ts), Timestamp::BOOTSTRAP);
+        assert_eq!(stored.properties.len(), 1);
     }
 }

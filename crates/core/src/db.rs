@@ -17,9 +17,10 @@ use parking_lot::{Mutex, RwLock};
 
 use graphsi_index::GraphIndexes;
 use graphsi_mvcc::{gc, CacheLookup, CacheStatsSnapshot, GcStrategy, VersionedCache};
+use graphsi_storage::record::{NodeRecord, RelationshipRecord};
 use graphsi_storage::{
-    GraphStore, GraphStoreConfig, GraphStoreStats, NodeId, PropertyKeyToken, PropertyValue,
-    RelationshipId,
+    GraphStore, GraphStoreConfig, GraphStoreStats, LabelToken, NodeId, PropertyKeyToken,
+    PropertyValue, RelationshipId,
 };
 use graphsi_txn::{
     check_at_commit, ActiveTransactionTable, ConflictStrategy, LockKey, LockManager,
@@ -30,21 +31,21 @@ use graphsi_wal::{
     PayloadKind, SegmentedWal,
 };
 
-use crate::commit::{self, apply_to_store, split_commit_ts, CommitOp, CommitRecord};
+use crate::commit::{self, apply_to_store, CommitOp, CommitRecord};
 use crate::commit_pipeline::CommitPipeline;
 use crate::config::{DbConfig, IsolationLevel};
 use crate::entity::{NodeData, RelationshipData};
-use crate::error::Result;
+use crate::error::{DbError, Result};
 use crate::lock_rank;
 use crate::metrics::{DbMetrics, DbMetricsSnapshot};
 use crate::options::TxnOptions;
 use crate::transaction::Transaction;
 use crate::write_set::WriteSet;
 
-/// Name of the reserved property that persists each entity's commit
-/// timestamp in the store (the paper: "We have added an additional property
-/// to both of them for keeping the commit timestamp").
-pub const COMMIT_TS_PROPERTY: &str = "__graphsi.commit_ts";
+/// The property key under which stores of the old format kept each
+/// entity's commit timestamp. Opening such a store interned this key, so
+/// its presence marks a directory this version refuses to open.
+const OLD_FORMAT_TIMESTAMP_KEY: &str = "__graphsi.commit_ts";
 
 /// Prefix reserved for internal property keys, labels and relationship
 /// types.
@@ -88,7 +89,6 @@ pub(crate) struct GraphDbInner {
     pub(crate) active: ActiveTransactionTable,
     pub(crate) locks: LockManager,
     pub(crate) metrics: DbMetrics,
-    pub(crate) commit_ts_key: PropertyKeyToken,
     /// Adjacency overlay: relationships that currently have cached versions,
     /// indexed by their endpoint nodes. The persistent store's relationship
     /// chains only reflect the *latest* committed linkage, so an older
@@ -138,7 +138,15 @@ impl GraphDb {
                 verify_pages_on_read: config.verify_pages_on_read,
             },
         )?;
-        let commit_ts_key = store.tokens().property_key(COMMIT_TS_PROPERTY)?;
+        if store
+            .tokens()
+            .existing_property_key(OLD_FORMAT_TIMESTAMP_KEY)
+            .is_some()
+        {
+            return Err(DbError::UnsupportedStoreFormat {
+                dir: dir.to_path_buf(),
+            });
+        }
         let wal = SegmentedWal::open(
             dir.join("wal"),
             config.sync_policy,
@@ -153,7 +161,6 @@ impl GraphDb {
             active: ActiveTransactionTable::new(),
             locks: LockManager::new(config.lock_timeout),
             metrics: DbMetrics::new(),
-            commit_ts_key,
             rel_overlay: RwLock::with_rank(
                 std::collections::HashMap::new(),
                 lock_rank::REL_OVERLAY,
@@ -482,8 +489,7 @@ impl GraphDbInner {
     /// Allocates a transaction ID and registers it as active.
     pub(crate) fn register_transaction(&self) -> (TxnId, Timestamp) {
         let id = TxnId(self.txn_counter.fetch_add(1, Ordering::Relaxed));
-        let start_ts = self.visible_timestamp();
-        self.active.register(id, start_ts);
+        let start_ts = self.active.register_with(id, || self.visible_timestamp());
         self.metrics.record_begin();
         (id, start_ts)
     }
@@ -519,6 +525,47 @@ impl GraphDbInner {
     // Internal read path (shared by both isolation levels)
     // ------------------------------------------------------------------
 
+    /// The node read path: [`read_version`] over the node cache and the
+    /// node record.
+    fn node_version<R>(
+        &self,
+        id: NodeId,
+        read_ts: Timestamp,
+        from_cache: impl FnOnce(Arc<NodeData>, Timestamp) -> R,
+        from_store: impl FnOnce(NodeRecord) -> Result<Option<R>>,
+    ) -> Result<Option<R>> {
+        self.metrics.record_read();
+        let record = || {
+            let record = self.store.read_node_record(id)?;
+            Ok(record.map(|r| (Timestamp(r.commit_ts), r)))
+        };
+        read_version(
+            &self.node_cache,
+            id,
+            read_ts,
+            record,
+            from_cache,
+            from_store,
+        )
+    }
+
+    /// The relationship read path: [`read_version`] over the relationship
+    /// cache and the relationship record.
+    fn rel_version<R>(
+        &self,
+        id: RelationshipId,
+        read_ts: Timestamp,
+        from_cache: impl FnOnce(Arc<RelationshipData>, Timestamp) -> R,
+        from_store: impl FnOnce(RelationshipRecord) -> Result<Option<R>>,
+    ) -> Result<Option<R>> {
+        self.metrics.record_read();
+        let record = || {
+            let record = self.store.read_relationship_record(id)?;
+            Ok(record.map(|r| (Timestamp(r.commit_ts), r)))
+        };
+        read_version(&self.rel_cache, id, read_ts, record, from_cache, from_store)
+    }
+
     /// Reads the node version visible at `read_ts`, returning the data and
     /// the commit timestamp of that version.
     pub(crate) fn read_node_version(
@@ -526,51 +573,44 @@ impl GraphDbInner {
         id: NodeId,
         read_ts: Timestamp,
     ) -> Result<Option<(Arc<NodeData>, Timestamp)>> {
-        self.metrics.record_read();
-        match self.node_cache.lookup(id, read_ts) {
-            CacheLookup::Hit(v) => Ok(v.payload.map(|p| (p, v.commit_ts))),
-            CacheLookup::NotVisible => Ok(None),
-            CacheLookup::Miss => {
-                match self.store.read_node(id)? {
-                    None => Ok(self.recheck_node_cache(id, read_ts)),
-                    Some(stored) => {
-                        let (base_ts, properties) =
-                            split_commit_ts(stored.properties, self.commit_ts_key);
-                        if base_ts.visible_to(read_ts) {
-                            Ok(Some((
-                                Arc::new(NodeData::new(stored.labels, properties)),
-                                base_ts,
-                            )))
-                        } else {
-                            // The store was overwritten by a commit newer
-                            // than our snapshot; the pre-image must now be
-                            // in the cache (it is installed before the
-                            // store is overwritten).
-                            Ok(self.recheck_node_cache(id, read_ts))
-                        }
-                    }
-                }
-            }
-        }
+        self.node_version(
+            id,
+            read_ts,
+            |data, ts| (data, ts),
+            |record| {
+                Ok(self.store.node_properties(id, &record)?.map(|properties| {
+                    let data = NodeData::new(record.labels, properties.into_iter().collect());
+                    (Arc::new(data), Timestamp(record.commit_ts))
+                }))
+            },
+        )
     }
 
-    fn recheck_node_cache(
+    /// Header-only read: `f` applied to the labels of the node version
+    /// visible at `read_ts`, or `None` if no version is visible. Decided
+    /// from the cache or the node record alone — it never reads the
+    /// property store.
+    pub(crate) fn read_node_labels_version<R>(
         &self,
         id: NodeId,
         read_ts: Timestamp,
-    ) -> Option<(Arc<NodeData>, Timestamp)> {
-        match self.node_cache.lookup(id, read_ts) {
-            CacheLookup::Hit(v) => v.payload.map(|p| (p, v.commit_ts)),
-            _ => None,
-        }
+        f: impl Fn(&[LabelToken]) -> R,
+    ) -> Result<Option<R>> {
+        self.node_version(
+            id,
+            read_ts,
+            |data, _| f(&data.labels),
+            |record| Ok(Some(f(&record.labels))),
+        )
     }
 
     /// Single-key fast path of [`GraphDbInner::read_node_version`]: the
     /// values of `tokens` on the node version visible at `read_ts`, without
     /// materialising the node's full property list. Cache hits answer from
     /// the already-materialised `NodeData`; cache misses use the store's
-    /// selective chain decode ([`GraphStore::read_node_properties`]), which
-    /// stops early and never loads values the caller did not ask for.
+    /// selective chain decode ([`GraphStore::node_properties_selected`]),
+    /// which stops once every requested key is found and never loads
+    /// values the caller did not ask for.
     ///
     /// Outer `None` = the node is invisible at `read_ts`; inner `None`s =
     /// the node exists but lacks that property.
@@ -580,48 +620,17 @@ impl GraphDbInner {
         tokens: &[PropertyKeyToken],
         read_ts: Timestamp,
     ) -> Result<Option<Vec<Option<PropertyValue>>>> {
-        self.metrics.record_read();
-        let from_data = |data: &NodeData| {
-            tokens
-                .iter()
-                .map(|t| data.properties.get(t).cloned())
-                .collect::<Vec<_>>()
-        };
-        let recheck = |inner: &Self| {
-            Ok(match inner.node_cache.lookup(id, read_ts) {
-                CacheLookup::Hit(v) => v.payload.map(|p| from_data(&p)),
-                _ => None,
-            })
-        };
-        match self.node_cache.lookup(id, read_ts) {
-            CacheLookup::Hit(v) => Ok(v.payload.map(|p| from_data(&p))),
-            CacheLookup::NotVisible => Ok(None),
-            CacheLookup::Miss => {
-                // One selective chain walk fetches the persisted commit-ts
-                // property (needed for the visibility check) alongside the
-                // requested keys.
-                let mut keys = Vec::with_capacity(tokens.len() + 1);
-                keys.push(self.commit_ts_key);
-                keys.extend_from_slice(tokens);
-                match self.store.read_node_properties(id, &keys)? {
-                    None => recheck(self),
-                    Some(mut values) => {
-                        let base_ts = match values.remove(0) {
-                            Some(PropertyValue::Int(raw)) => Timestamp(raw as u64),
-                            _ => Timestamp::BOOTSTRAP,
-                        };
-                        if base_ts.visible_to(read_ts) {
-                            Ok(Some(values))
-                        } else {
-                            // Overwritten by a newer commit; the pre-image
-                            // is in the cache (installed before the store
-                            // was overwritten).
-                            recheck(self)
-                        }
-                    }
-                }
-            }
-        }
+        self.node_version(
+            id,
+            read_ts,
+            |data, _| {
+                tokens
+                    .iter()
+                    .map(|t| data.properties.get(t).cloned())
+                    .collect()
+            },
+            |record| Ok(self.store.node_properties_selected(id, &record, tokens)?),
+        )
     }
 
     /// Reads the relationship version visible at `read_ts`.
@@ -630,42 +639,45 @@ impl GraphDbInner {
         id: RelationshipId,
         read_ts: Timestamp,
     ) -> Result<Option<(Arc<RelationshipData>, Timestamp)>> {
-        self.metrics.record_read();
-        match self.rel_cache.lookup(id, read_ts) {
-            CacheLookup::Hit(v) => Ok(v.payload.map(|p| (p, v.commit_ts))),
-            CacheLookup::NotVisible => Ok(None),
-            CacheLookup::Miss => match self.store.read_relationship(id)? {
-                None => Ok(self.recheck_rel_cache(id, read_ts)),
-                Some(stored) => {
-                    let (base_ts, properties) =
-                        split_commit_ts(stored.properties, self.commit_ts_key);
-                    if base_ts.visible_to(read_ts) {
-                        Ok(Some((
-                            Arc::new(RelationshipData::new(
-                                stored.source,
-                                stored.target,
-                                stored.rel_type,
-                                properties,
-                            )),
-                            base_ts,
-                        )))
-                    } else {
-                        Ok(self.recheck_rel_cache(id, read_ts))
-                    }
-                }
+        self.rel_version(
+            id,
+            read_ts,
+            |data, ts| (data, ts),
+            |record| {
+                Ok(self
+                    .store
+                    .relationship_properties(id, &record)?
+                    .map(|properties| {
+                        let data = RelationshipData::new(
+                            record.source,
+                            record.target,
+                            record.rel_type,
+                            properties.into_iter().collect(),
+                        );
+                        (Arc::new(data), Timestamp(record.commit_ts))
+                    }))
             },
-        }
+        )
     }
 
-    fn recheck_rel_cache(
+    /// Header-only relationship read: endpoints and type of the version
+    /// visible at `read_ts`, with an empty property map. Like
+    /// [`GraphDbInner::read_node_labels_version`], it never reads the
+    /// property store.
+    pub(crate) fn read_relationship_header_version(
         &self,
         id: RelationshipId,
         read_ts: Timestamp,
-    ) -> Option<(Arc<RelationshipData>, Timestamp)> {
-        match self.rel_cache.lookup(id, read_ts) {
-            CacheLookup::Hit(v) => v.payload.map(|p| (p, v.commit_ts)),
-            _ => None,
-        }
+    ) -> Result<Option<RelationshipData>> {
+        let header = |source, target, rel_type| {
+            RelationshipData::new(source, target, rel_type, BTreeMap::new())
+        };
+        self.rel_version(
+            id,
+            read_ts,
+            |data, _| header(data.source, data.target, data.rel_type),
+            |record| Ok(Some(header(record.source, record.target, record.rel_type))),
+        )
     }
 
     /// Pages the relationship overlay of `node`: appends up to `chunk`
@@ -729,19 +741,17 @@ impl GraphDbInner {
             .insert(rel);
     }
 
-    /// The newest committed timestamp known for a node (cache first, store
-    /// as fallback), used for write-write conflict detection.
+    /// The newest committed timestamp known for a node (cache first, the
+    /// store record's header as fallback), used for write-write conflict
+    /// detection.
     pub(crate) fn newest_node_commit_ts(&self, id: NodeId) -> Result<Option<Timestamp>> {
         if let Some(ts) = self.node_cache.newest_commit_ts(id) {
             return Ok(Some(ts));
         }
-        match self.store.read_node(id)? {
-            Some(stored) => {
-                let (ts, _) = split_commit_ts(stored.properties, self.commit_ts_key);
-                Ok(Some(ts))
-            }
-            None => Ok(None),
-        }
+        Ok(self
+            .store
+            .read_node_record(id)?
+            .map(|r| Timestamp(r.commit_ts)))
     }
 
     /// The newest committed timestamp known for a relationship.
@@ -749,13 +759,10 @@ impl GraphDbInner {
         if let Some(ts) = self.rel_cache.newest_commit_ts(id) {
             return Ok(Some(ts));
         }
-        match self.store.read_relationship(id)? {
-            Some(stored) => {
-                let (ts, _) = split_commit_ts(stored.properties, self.commit_ts_key);
-                Ok(Some(ts))
-            }
-            None => Ok(None),
-        }
+        Ok(self
+            .store
+            .read_relationship_record(id)?
+            .map(|r| Timestamp(r.commit_ts)))
     }
 
     /// Allocates a fresh node ID for a create buffered in a transaction.
@@ -923,7 +930,7 @@ impl GraphDbInner {
             });
         {
             let _apply = self.pipeline.store_apply(&footprint, &self.metrics);
-            if let Err(e) = apply_to_store(&self.store, &record, self.commit_ts_key, false) {
+            if let Err(e) = apply_to_store(&self.store, &record, false) {
                 // A failed apply may have written *part* of the commit.
                 // Undo it from the write set's before-images (still under
                 // the shard locks) so the store returns to its pre-commit
@@ -1118,23 +1125,23 @@ impl GraphDbInner {
             if entry.is_noop() {
                 continue;
             }
-            if let (Some(before), Some(before_ts)) = (&entry.before, entry.before_ts) {
-                self.node_cache
-                    .ensure_base(id, before_ts, Arc::clone(before));
-            }
-            self.node_cache
-                .install_committed(id, commit_ts, entry.after.clone().map(Arc::new));
+            self.node_cache.install_over_base(
+                id,
+                entry.base(),
+                commit_ts,
+                entry.after.clone().map(Arc::new),
+            );
         }
         for (&id, entry) in &write_set.relationships {
             if entry.is_noop() {
                 continue;
             }
-            if let (Some(before), Some(before_ts)) = (&entry.before, entry.before_ts) {
-                self.rel_cache
-                    .ensure_base(id, before_ts, Arc::clone(before));
-            }
-            self.rel_cache
-                .install_committed(id, commit_ts, entry.after.clone().map(Arc::new));
+            self.rel_cache.install_over_base(
+                id,
+                entry.base(),
+                commit_ts,
+                entry.after.clone().map(Arc::new),
+            );
             // Keep the adjacency overlay in sync so snapshot traversals can
             // find relationships whose latest committed state differs from
             // what an older snapshot should observe.
@@ -1160,16 +1167,14 @@ impl GraphDbInner {
     ///
     /// Every step is guarded by an existence probe, so entities the
     /// failed apply never reached are untouched. Restored entities get
-    /// their *original* commit-timestamp property back (`before_ts`), so
-    /// a later cold read or reopen seeds base versions exactly as before
-    /// the aborted commit. Order mirrors reverse dependency: node
+    /// their *original* commit timestamp back (`before_ts`), so a later
+    /// cold read or reopen seeds base versions exactly as before the
+    /// aborted commit. Order mirrors reverse dependency: node
     /// pre-images first (relationship restores need their endpoints),
     /// then created relationships out, then relationship pre-images back,
     /// then created nodes out.
     fn undo_partial_apply(&self, write_set: &WriteSet) -> Result<()> {
-        let ts_prop = |ts: Option<Timestamp>| {
-            ts.map(|t| (self.commit_ts_key, PropertyValue::Int(t.raw() as i64)))
-        };
+        let raw_ts = |ts: Option<Timestamp>| ts.unwrap_or(Timestamp::BOOTSTRAP).raw();
         // 1. Node pre-images (updated or deleted nodes back to before).
         for (&id, entry) in &write_set.nodes {
             if entry.is_noop() {
@@ -1178,14 +1183,12 @@ impl GraphDbInner {
             let Some(before) = entry.before.as_deref() else {
                 continue;
             };
-            let extra = ts_prop(entry.before_ts);
+            let ts = raw_ts(entry.before_ts);
             let props = props_vec(&before.properties);
             if self.store.node_exists(id)? {
-                self.store
-                    .update_node_with(id, &before.labels, &props, extra.as_ref())?;
+                self.store.update_node_at(id, &before.labels, &props, ts)?;
             } else {
-                self.store
-                    .create_node_with(id, &before.labels, &props, extra.as_ref())?;
+                self.store.create_node_at(id, &before.labels, &props, ts)?;
             }
         }
         // 2. Created relationships out (before their created endpoints).
@@ -1202,19 +1205,18 @@ impl GraphDbInner {
             let Some(before) = entry.before.as_deref() else {
                 continue;
             };
-            let extra = ts_prop(entry.before_ts);
+            let ts = raw_ts(entry.before_ts);
             let props = props_vec(&before.properties);
             if self.store.relationship_exists(id)? {
-                self.store
-                    .update_relationship_with(id, &props, extra.as_ref())?;
+                self.store.update_relationship_at(id, &props, ts)?;
             } else {
-                self.store.create_relationship_with(
+                self.store.create_relationship_at(
                     id,
                     before.source,
                     before.target,
                     before.rel_type,
                     &props,
-                    extra.as_ref(),
+                    ts,
                 )?;
             }
         }
@@ -1417,7 +1419,7 @@ impl GraphDbInner {
             {
                 continue;
             }
-            apply_to_store(&self.store, &record, self.commit_ts_key, true)?;
+            apply_to_store(&self.store, &record, true)?;
         }
 
         // Replay is done: resolve the suspects. Pages replay rewrote are
@@ -1437,28 +1439,24 @@ impl GraphDbInner {
         }
 
         // 2. Rebuild the in-memory indexes from the store, using each
-        //    entity's persisted commit timestamp as the posting timestamp.
+        //    record's header commit timestamp as the posting timestamp.
         for id in self.store.scan_node_ids()? {
             if let Some(stored) = self.store.read_node(id)? {
-                let (ts, properties) = split_commit_ts(stored.properties, self.commit_ts_key);
-                if ts > max_ts {
-                    max_ts = ts;
-                }
+                let ts = Timestamp(stored.commit_ts);
+                max_ts = max_ts.max(ts);
                 for label in &stored.labels {
                     self.indexes.labels.add(*label, id, ts);
                 }
-                for (key, value) in &properties {
+                for (key, value) in &stored.properties {
                     self.indexes.node_properties.add(*key, value, id, ts);
                 }
             }
         }
         for id in self.store.scan_relationship_ids()? {
             if let Some(stored) = self.store.read_relationship(id)? {
-                let (ts, properties) = split_commit_ts(stored.properties, self.commit_ts_key);
-                if ts > max_ts {
-                    max_ts = ts;
-                }
-                for (key, value) in &properties {
+                let ts = Timestamp(stored.commit_ts);
+                max_ts = max_ts.max(ts);
+                for (key, value) in &stored.properties {
                     self.indexes
                         .relationship_properties
                         .add(*key, value, id, ts);
@@ -1479,6 +1477,41 @@ impl GraphDbInner {
 }
 
 static EMPTY_PROPS: BTreeMap<PropertyKeyToken, PropertyValue> = BTreeMap::new();
+
+/// The read path every entity read shares. The cache answers first; on a
+/// miss, `record` loads the store record with its header commit timestamp,
+/// and `from_store` receives it when that timestamp is visible at
+/// `read_ts`, returning `None` only if a concurrent commit rewrote the
+/// record under it. Whenever the store cannot answer — record newer than
+/// the snapshot, gone, or rewritten mid-read — the cache is asked again:
+/// stage C installs a commit's versions, pre-images included, before it
+/// overwrites the store, so the version the snapshot needs is there.
+fn read_version<K, V, Rec, R>(
+    cache: &VersionedCache<K, V>,
+    id: K,
+    read_ts: Timestamp,
+    record: impl FnOnce() -> Result<Option<(Timestamp, Rec)>>,
+    from_cache: impl FnOnce(Arc<V>, Timestamp) -> R,
+    from_store: impl FnOnce(Rec) -> Result<Option<R>>,
+) -> Result<Option<R>>
+where
+    K: std::hash::Hash + Eq + Ord + Copy,
+{
+    let lookup = match cache.lookup(id, read_ts) {
+        CacheLookup::Miss => match record()? {
+            Some((ts, record)) if ts.visible_to(read_ts) => match from_store(record)? {
+                Some(found) => return Ok(Some(found)),
+                None => cache.lookup(id, read_ts),
+            },
+            _ => cache.lookup(id, read_ts),
+        },
+        cached => cached,
+    };
+    Ok(match lookup {
+        CacheLookup::Hit(v) => v.payload.map(|p| from_cache(p, v.commit_ts)),
+        _ => None,
+    })
+}
 
 /// Lock keys of every effective (non-noop) entry of a write set — the keys
 /// the pipeline's pending-commit table exposes to validators between

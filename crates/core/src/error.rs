@@ -46,6 +46,13 @@ pub enum DbError {
     /// in graphsi, not a caller mistake; it exists so invariant breaches
     /// surface as typed errors instead of panics in library code.
     Internal(String),
+    /// The directory holds a store written before commit timestamps moved
+    /// into the node and relationship records. It is refused at open,
+    /// before the write-ahead log is touched; there is no migration.
+    UnsupportedStoreFormat {
+        /// The refused database directory.
+        dir: std::path::PathBuf,
+    },
 }
 
 impl DbError {
@@ -83,6 +90,12 @@ impl fmt::Display for DbError {
             }
             DbError::InvalidQuery(reason) => write!(f, "invalid query: {reason}"),
             DbError::Internal(reason) => write!(f, "internal invariant violated: {reason}"),
+            DbError::UnsupportedStoreFormat { dir } => write!(
+                f,
+                "{} holds a store in the old format (commit timestamps kept as a property); \
+                 this version reads only stores with the timestamp in the record",
+                dir.display()
+            ),
         }
     }
 }

@@ -126,6 +126,18 @@ impl<'tx> RelCandidateCursor<'tx> {
 // Relationship iterators
 // ----------------------------------------------------------------------
 
+/// How much of each relationship a [`RelEntryIter`] resolves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RelDetail {
+    /// Endpoints and type only, decided from the cache or the record
+    /// header: a cache miss reads no property page, and the yielded data
+    /// carries an empty property map (unless it is this transaction's own
+    /// write).
+    Header,
+    /// Properties as well, for callers that return them.
+    Full,
+}
+
 /// Internal engine iterator over the relationships touching one node in
 /// the transaction's view, yielding raw `(id, data)` pairs without
 /// resolving token names. [`RelIter`], [`NeighborIter`] and the query
@@ -134,6 +146,7 @@ pub(crate) struct RelEntryIter<'tx> {
     tx: &'tx Transaction,
     node: NodeId,
     direction: Direction,
+    detail: RelDetail,
     candidates: RelCandidateCursor<'tx>,
     /// This transaction's pending creations touching the node (small:
     /// bounded by the write set).
@@ -148,6 +161,7 @@ impl<'tx> RelEntryIter<'tx> {
         node: NodeId,
         direction: Direction,
         chunk: usize,
+        detail: RelDetail,
     ) -> Result<Self> {
         let candidates = RelCandidateCursor::new(tx, node, chunk)?;
         let pending: Vec<RelationshipId> = tx
@@ -163,6 +177,7 @@ impl<'tx> RelEntryIter<'tx> {
             tx,
             node,
             direction,
+            detail,
             candidates,
             pending: pending.into_iter(),
             seen: HashSet::new(),
@@ -212,7 +227,11 @@ impl Iterator for RelEntryIter<'_> {
                 }
                 continue;
             }
-            match self.tx.visible_relationship(id) {
+            let visible = match self.detail {
+                RelDetail::Header => self.tx.visible_relationship_header(id),
+                RelDetail::Full => self.tx.visible_relationship(id),
+            };
+            match visible {
                 Ok(Some(data)) => {
                     if data.touches(self.node)
                         && self.direction.matches(self.node, data.source, data.target)
@@ -273,7 +292,7 @@ impl<'tx> RelIter<'tx> {
         chunk: usize,
     ) -> Result<Self> {
         Ok(RelIter {
-            entries: RelEntryIter::new(tx, node, direction, chunk)?,
+            entries: RelEntryIter::new(tx, node, direction, chunk, RelDetail::Full)?,
         })
     }
 }
@@ -961,9 +980,9 @@ impl<'tx> NodeIdIter<'tx> {
                     if !self.seen.insert(id) {
                         continue;
                     }
-                    match self.tx.visible_node(id) {
-                        Ok(Some(_)) => return Some(Ok(id)),
-                        Ok(None) => {}
+                    match self.tx.node_visible(id) {
+                        Ok(true) => return Some(Ok(id)),
+                        Ok(false) => {}
                         Err(e) => {
                             self.failed = true;
                             return Some(Err(e));
@@ -1080,7 +1099,7 @@ impl Iterator for RelIdIter<'_> {
             if !self.seen.insert(id) {
                 continue;
             }
-            match self.tx.visible_relationship(id) {
+            match self.tx.visible_relationship_header(id) {
                 Ok(Some(_)) => return Some(Ok(id)),
                 Ok(None) => {}
                 Err(e) => {

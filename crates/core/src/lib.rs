@@ -92,7 +92,7 @@ pub mod write_set;
 
 pub use commit::{CommitOp, CommitRecord};
 pub use config::{DbConfig, IsolationLevel};
-pub use db::{GcSummary, GraphDb, COMMIT_TS_PROPERTY, RESERVED_PREFIX};
+pub use db::{GcSummary, GraphDb, RESERVED_PREFIX};
 pub use entity::{Direction, Node, NodeData, Relationship, RelationshipData};
 pub use error::{DbError, Result};
 pub use iter::{NeighborIter, NodeIdIter, RelIdIter, RelIter};

@@ -510,10 +510,9 @@ impl<'tx> QueryBuilder<'tx> {
                         upstream: it,
                         failed: false,
                         pred: Box::new(move |tx: &Transaction, id: NodeId| {
-                            let Some(data) = tx.visible_node(id)? else {
-                                return Ok(false);
-                            };
-                            Ok(data.has_label(token))
+                            let has =
+                                tx.visible_node_labels(id, |labels| labels.contains(&token))?;
+                            Ok(has.unwrap_or(false))
                         }),
                     })
                 }
@@ -830,14 +829,14 @@ impl Iterator for FixedSource<'_> {
             return None;
         }
         for id in self.ids.by_ref() {
-            match self.tx.visible_node(id) {
-                Ok(Some(_)) => {
+            match self.tx.node_visible(id) {
+                Ok(true) => {
                     return Some(Ok(RowCore {
                         node: id,
                         rel: None,
                     }))
                 }
-                Ok(None) => {}
+                Ok(false) => {}
                 Err(e) => {
                     self.failed = true;
                     return Some(Err(e));

@@ -24,7 +24,7 @@ use crate::config::IsolationLevel;
 use crate::db::{GraphDbInner, RESERVED_PREFIX};
 use crate::entity::{Direction, Node, NodeData, Relationship, RelationshipData};
 use crate::error::{DbError, Result};
-use crate::iter::{NeighborIter, NodeIdIter, RelEntryIter, RelIdIter, RelIter};
+use crate::iter::{NeighborIter, NodeIdIter, RelDetail, RelEntryIter, RelIdIter, RelIter};
 use crate::query::QueryBuilder;
 use crate::write_set::WriteSet;
 
@@ -415,6 +415,49 @@ impl Transaction {
         Ok(result.map(|(data, _)| (*data).clone()))
     }
 
+    /// Header-only counterpart of [`Transaction::visible_node`]: `f`
+    /// applied to the labels of the node version visible to this
+    /// transaction, or `None` if the node is invisible. Never reads the
+    /// property store.
+    pub(crate) fn visible_node_labels<R>(
+        &self,
+        id: NodeId,
+        f: impl Fn(&[LabelToken]) -> R,
+    ) -> Result<Option<R>> {
+        if let Some(state) = self.write_set.as_ref().and_then(|ws| ws.node_state(id)) {
+            return Ok(state.map(|data| f(&data.labels)));
+        }
+        let read_ts = self.read_timestamp();
+        self.with_read_lock(LockKey::node(id.raw()), || {
+            self.db.read_node_labels_version(id, read_ts, f)
+        })
+    }
+
+    /// Does the node exist in this transaction's view? Header-only.
+    pub(crate) fn node_visible(&self, id: NodeId) -> Result<bool> {
+        Ok(self.visible_node_labels(id, |_| ())?.is_some())
+    }
+
+    /// Header-only counterpart of [`Transaction::visible_relationship`]:
+    /// endpoints and type, with the property map left empty unless the
+    /// state comes from this transaction's own writes.
+    pub(crate) fn visible_relationship_header(
+        &self,
+        id: RelationshipId,
+    ) -> Result<Option<RelationshipData>> {
+        if let Some(state) = self
+            .write_set
+            .as_ref()
+            .and_then(|ws| ws.relationship_state(id))
+        {
+            return Ok(state.cloned());
+        }
+        let read_ts = self.read_timestamp();
+        self.with_read_lock(LockKey::relationship(id.raw()), || {
+            self.db.read_relationship_header_version(id, read_ts)
+        })
+    }
+
     /// The committed pre-image of a node (for first writes), with its
     /// commit timestamp.
     fn node_pre_image(&self, id: NodeId) -> Result<Option<(Arc<NodeData>, Timestamp)>> {
@@ -443,41 +486,41 @@ impl Transaction {
     /// Returns `true` if the node exists in this transaction's view.
     pub fn node_exists(&self, id: NodeId) -> Result<bool> {
         self.ensure_active()?;
-        Ok(self.visible_node(id)?.is_some())
+        self.node_visible(id)
     }
 
-    /// Returns one property of a node.
+    /// Returns one property of a node. A cache miss decodes the property
+    /// chain only up to the requested key.
     pub fn node_property(&self, id: NodeId, name: &str) -> Result<Option<PropertyValue>> {
         self.ensure_active()?;
-        let Some(data) = self.visible_node(id)? else {
-            return Err(DbError::NodeNotFound(id));
-        };
         let Some(token) = self.db.store.tokens().existing_property_key(name) else {
-            return Ok(None);
+            // No node carries a key that was never interned.
+            return match self.node_visible(id)? {
+                true => Ok(None),
+                false => Err(DbError::NodeNotFound(id)),
+            };
         };
-        Ok(data.properties.get(&token).cloned())
+        self.visible_node_property(id, token)?
+            .ok_or(DbError::NodeNotFound(id))
     }
 
     /// Returns the labels of a node.
     pub fn node_labels(&self, id: NodeId) -> Result<Vec<String>> {
         self.ensure_active()?;
-        let Some(data) = self.visible_node(id)? else {
-            return Err(DbError::NodeNotFound(id));
-        };
-        Ok(data.labels.iter().map(|l| self.label_name(*l)).collect())
+        let labels = self.visible_node_labels(id, |labels| {
+            labels.iter().map(|l| self.label_name(*l)).collect()
+        })?;
+        labels.ok_or(DbError::NodeNotFound(id))
     }
 
     /// Returns `true` if the node carries the label in this transaction's
     /// view.
     pub fn node_has_label(&self, id: NodeId, label: &str) -> Result<bool> {
         self.ensure_active()?;
-        let Some(data) = self.visible_node(id)? else {
-            return Err(DbError::NodeNotFound(id));
-        };
-        match self.db.store.tokens().existing_label(label) {
-            Some(token) => Ok(data.has_label(token)),
-            None => Ok(false),
-        }
+        let token = self.db.store.tokens().existing_label(label);
+        let has =
+            self.visible_node_labels(id, |labels| token.is_some_and(|t| labels.contains(&t)))?;
+        has.ok_or(DbError::NodeNotFound(id))
     }
 
     // ------------------------------------------------------------------
@@ -521,7 +564,7 @@ impl Transaction {
     /// candidates.
     pub fn relationships(&self, node: NodeId, direction: Direction) -> Result<RelIter<'_>> {
         self.ensure_active()?;
-        if self.visible_node(node)?.is_none() {
+        if !self.node_visible(node)? {
             return Err(DbError::NodeNotFound(node));
         }
         RelIter::new(self, node, direction, self.scan_chunk_size)
@@ -545,7 +588,7 @@ impl Transaction {
     /// deduplicated in visit order.
     pub fn neighbors(&self, node: NodeId, direction: Direction) -> Result<NeighborIter<'_>> {
         self.ensure_active()?;
-        if self.visible_node(node)?.is_none() {
+        if !self.node_visible(node)? {
             return Err(DbError::NodeNotFound(node));
         }
         Ok(NeighborIter::new(RelEntryIter::new(
@@ -553,13 +596,15 @@ impl Transaction {
             node,
             direction,
             self.scan_chunk_size,
+            RelDetail::Header,
         )?))
     }
 
     /// [`Transaction::neighbors`] without the node-existence error: a
     /// missing or invisible start node simply expands to nothing. Used by
     /// the query expansion stage, where upstream nodes may have been
-    /// deleted by this very transaction mid-stream.
+    /// deleted by this very transaction mid-stream. Header-only: the
+    /// yielded relationship data carries no properties.
     pub(crate) fn neighbors_or_empty(
         &self,
         node: NodeId,
@@ -567,7 +612,7 @@ impl Transaction {
         chunk: usize,
     ) -> Result<RelEntryIter<'_>> {
         self.ensure_active()?;
-        RelEntryIter::new(self, node, direction, chunk)
+        RelEntryIter::new(self, node, direction, chunk, RelDetail::Header)
     }
 
     /// Eager version of [`Transaction::neighbors`]: sorted, deduplicated
@@ -580,10 +625,14 @@ impl Transaction {
     }
 
     /// Number of relationships touching `node`. Streams over the lazy
-    /// iterator without materialising the relationships.
+    /// iterator, reading relationship headers only.
     pub fn degree(&self, node: NodeId, direction: Direction) -> Result<usize> {
+        self.ensure_active()?;
+        if !self.node_visible(node)? {
+            return Err(DbError::NodeNotFound(node));
+        }
         let mut count = 0usize;
-        for rel in self.relationships(node, direction)? {
+        for rel in self.neighbors_or_empty(node, direction, self.scan_chunk_size)? {
             rel?;
             count += 1;
         }
@@ -736,9 +785,9 @@ impl Transaction {
 
     /// One property of the node visible to this transaction, through the
     /// single-key decode fast path: own writes and cache hits answer from
-    /// memory, cache misses decode only the requested key (plus the
-    /// commit-ts key) out of the store's property chain instead of
-    /// materialising the whole list. Outer `None` = node invisible.
+    /// memory, cache misses decode only the requested key out of the
+    /// store's property chain instead of materialising the whole list.
+    /// Outer `None` = node invisible.
     pub(crate) fn visible_node_property(
         &self,
         id: NodeId,
@@ -1041,10 +1090,10 @@ impl Transaction {
         for (name, value) in properties {
             props.insert(self.property_key_token(name)?, value.clone());
         }
-        if self.visible_node(source)?.is_none() {
+        if !self.node_visible(source)? {
             return Err(DbError::NodeNotFound(source));
         }
-        if self.visible_node(target)?.is_none() {
+        if !self.node_visible(target)? {
             return Err(DbError::NodeNotFound(target));
         }
         // Lock the endpoints (no stale-snapshot check: adding a

@@ -25,9 +25,10 @@
 //! healthy database every transient anomaly is gone by the second walk —
 //! zero false positives — while real corruption cannot heal itself.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
-use crate::commit::split_commit_ts;
+use graphsi_txn::Timestamp;
+
 use crate::db::GraphDbInner;
 use crate::error::Result;
 
@@ -204,7 +205,8 @@ fn walk(inner: &GraphDbInner) -> Result<(u64, Vec<VerifyFinding>)> {
             ),
             Ok(None) => {}
             Ok(Some(stored)) => {
-                let (node_ts, properties) = split_commit_ts(stored.properties, inner.commit_ts_key);
+                let node_ts = Timestamp(stored.commit_ts);
+                let properties: BTreeMap<_, _> = stored.properties.into_iter().collect();
                 if node_ts > ts {
                     // Committed after our snapshot (applied, not yet
                     // published) — the index at `ts` legitimately predates
@@ -277,9 +279,9 @@ fn walk(inner: &GraphDbInner) -> Result<(u64, Vec<VerifyFinding>)> {
             Ok(None) => {}
             Ok(Some(stored)) => {
                 for (role, node) in [("source", stored.source), ("target", stored.target)] {
-                    match inner.store.read_node(node) {
-                        Ok(Some(_)) => {}
-                        Ok(None) => push(
+                    match inner.store.node_exists(node) {
+                        Ok(true) => {}
+                        Ok(false) => push(
                             VerifyClass::DanglingChainPointer,
                             format!(
                                 "relationship {} {role} node {} is not in use",
@@ -293,11 +295,10 @@ fn walk(inner: &GraphDbInner) -> Result<(u64, Vec<VerifyFinding>)> {
                         ),
                     }
                 }
-                let (rel_ts, properties) = split_commit_ts(stored.properties, inner.commit_ts_key);
-                if rel_ts > ts {
+                if Timestamp(stored.commit_ts) > ts {
                     continue;
                 }
-                for (key, value) in &properties {
+                for (key, value) in &stored.properties {
                     if !inner
                         .indexes
                         .relationship_properties
@@ -322,7 +323,7 @@ fn walk(inner: &GraphDbInner) -> Result<(u64, Vec<VerifyFinding>)> {
     // live store entity that agrees with it.
     for label in inner.indexes.labels.labels() {
         for node in inner.indexes.labels.nodes_with_label(label, ts) {
-            match inner.store.read_node(node) {
+            match inner.store.read_node_record(node) {
                 Err(e) => push(
                     VerifyClass::DanglingChainPointer,
                     format!("node {}: {e}", node.raw()),
@@ -335,12 +336,11 @@ fn walk(inner: &GraphDbInner) -> Result<(u64, Vec<VerifyFinding>)> {
                         node.raw()
                     ),
                 ),
-                Ok(Some(stored)) => {
-                    let (node_ts, _) = split_commit_ts(stored.properties, inner.commit_ts_key);
+                Ok(Some(record)) => {
                     // Only judge when the store's version is inside our
                     // snapshot; a newer store version may legitimately
                     // have dropped the label.
-                    if node_ts <= ts && !stored.labels.contains(&label) {
+                    if Timestamp(record.commit_ts) <= ts && !record.labels.contains(&label) {
                         push(
                             VerifyClass::IndexStoreDivergence,
                             format!(

@@ -63,6 +63,12 @@ impl<T> PendingWrite<T> {
     pub fn is_noop(&self) -> bool {
         self.kind() == WriteKind::CreatedThenDeleted
     }
+
+    /// The pre-image with its commit timestamp — the base version the
+    /// cache is seeded with at commit — if the entity existed before.
+    pub fn base(&self) -> Option<(Timestamp, Arc<T>)> {
+        Some((self.before_ts?, Arc::clone(self.before.as_ref()?)))
+    }
 }
 
 /// The complete write set of one transaction.

@@ -213,6 +213,43 @@ where
     /// state they are entitled to. A no-op if a chain already exists.
     pub fn ensure_base(&self, key: K, base_ts: Timestamp, payload: Arc<V>) {
         let mut shard = self.shard_for(&key).write();
+        self.seed_base(&mut shard, key, base_ts, payload);
+    }
+
+    /// Installs a freshly committed version (or tombstone when `payload` is
+    /// `None`). Creates the chain if the entity was not cached yet (a newly
+    /// created entity has no base version).
+    pub fn install_committed(&self, key: K, commit_ts: Timestamp, payload: Option<Arc<V>>) {
+        let mut shard = self.shard_for(&key).write();
+        self.install_into(&mut shard, key, commit_ts, payload);
+    }
+
+    /// [`VersionedCache::ensure_base`] followed by
+    /// [`VersionedCache::install_committed`] under one shard lock. Done as
+    /// two calls, a GC pass in between could drop the freshly seeded
+    /// base-only chain (the store alone serves it), and the new version
+    /// would then hide the pre-image from every older snapshot.
+    pub fn install_over_base(
+        &self,
+        key: K,
+        base: Option<(Timestamp, Arc<V>)>,
+        commit_ts: Timestamp,
+        payload: Option<Arc<V>>,
+    ) {
+        let mut shard = self.shard_for(&key).write();
+        if let Some((base_ts, base)) = base {
+            self.seed_base(&mut shard, key, base_ts, base);
+        }
+        self.install_into(&mut shard, key, commit_ts, payload);
+    }
+
+    fn seed_base(
+        &self,
+        shard: &mut BTreeMap<K, VersionChain<V>>,
+        key: K,
+        base_ts: Timestamp,
+        payload: Arc<V>,
+    ) {
         if shard.contains_key(&key) {
             return;
         }
@@ -225,11 +262,13 @@ where
         self.counters.chains.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Installs a freshly committed version (or tombstone when `payload` is
-    /// `None`). Creates the chain if the entity was not cached yet (a newly
-    /// created entity has no base version).
-    pub fn install_committed(&self, key: K, commit_ts: Timestamp, payload: Option<Arc<V>>) {
-        let mut shard = self.shard_for(&key).write();
+    fn install_into(
+        &self,
+        shard: &mut BTreeMap<K, VersionChain<V>>,
+        key: K,
+        commit_ts: Timestamp,
+        payload: Option<Arc<V>>,
+    ) {
         let chain = shard.entry(key).or_insert_with(|| {
             self.counters.chains.fetch_add(1, Ordering::Relaxed);
             VersionChain::new()

@@ -9,6 +9,28 @@
 //! Exactly as the paper prescribes, the persistent store holds **only the
 //! most recent committed version** of every node and relationship; all
 //! older versions live in the in-memory object cache of the MVCC layer.
+//! Each record carries the commit timestamp of the version it holds, so
+//! visibility is decided from the fixed-size record alone.
+//!
+//! # Reading a payload while commits apply
+//!
+//! Readers take no lock beyond the page lock of each record they load, so a
+//! property chain can be rewritten while a reader walks it. Writers change
+//! the record before they touch its chain: an update first stamps the
+//! record with the new commit timestamp, then frees the old chain, writes
+//! the new one (it reuses the freed slots, so the chain stays on its
+//! pages) and points the record at it; a delete clears the in-use flag
+//! before freeing. The payload reads ([`GraphStore::node_properties`] and
+//! friends) re-load the record after the walk, and if its commit
+//! timestamp, chain head or in-use flag moved they report `None` instead
+//! of a payload that may mix two versions. Callers pass a record whose
+//! commit has finished applying (the transactional layer publishes a
+//! commit only after its store apply), so a record that still matches
+//! proves no writer touched the chain during the walk. Commit timestamps
+//! of one entity only grow, with one exception: undoing a failed apply
+//! restores the previous timestamp, and if the restored chain reuses the
+//! old head slot a walk that overlapped the failed apply and its undo is
+//! not detected.
 
 use std::path::{Path, PathBuf};
 
@@ -76,6 +98,8 @@ pub struct StoredNode {
     pub labels: Vec<LabelToken>,
     /// The node's properties.
     pub properties: Vec<(PropertyKeyToken, PropertyValue)>,
+    /// Commit timestamp of the stored version (zero for bootstrap data).
+    pub commit_ts: u64,
 }
 
 /// A fully materialised relationship as stored on disk.
@@ -91,6 +115,8 @@ pub struct StoredRelationship {
     pub rel_type: RelTypeToken,
     /// The relationship's properties.
     pub properties: Vec<(PropertyKeyToken, PropertyValue)>,
+    /// Commit timestamp of the stored version (zero for bootstrap data).
+    pub commit_ts: u64,
 }
 
 /// Aggregate counters across all record stores, used by experiment E7
@@ -101,6 +127,8 @@ pub struct GraphStoreStats {
     pub nodes: PageCacheStats,
     /// Page-cache counters of the relationship store.
     pub relationships: PageCacheStats,
+    /// Page-cache counters of the property store (`properties.db`).
+    pub properties: PageCacheStats,
     /// Record writes issued against the property + dynamic stores.
     pub property_record_writes: u64,
     /// One past the largest node ID.
@@ -274,58 +302,59 @@ impl GraphStore {
 
     // ----- Node operations --------------------------------------------------
 
-    /// Writes a brand new node record (commit-time install of a created
-    /// node).
+    /// Writes a brand new node record carrying the bootstrap timestamp.
     pub fn create_node(
         &self,
         id: NodeId,
         labels: &[LabelToken],
         properties: &[(PropertyKeyToken, PropertyValue)],
     ) -> Result<()> {
-        self.create_node_with(id, labels, properties, None)
+        self.create_node_at(id, labels, properties, 0)
     }
 
-    /// [`GraphStore::create_node`] with an optional extra property appended
-    /// to the chain (the commit pipeline's reserved commit-ts property),
-    /// avoiding a clone of the whole property list at the call site.
-    pub fn create_node_with(
+    /// Writes a brand new node record holding the version committed at
+    /// `commit_ts` (commit-time install of a created node).
+    pub fn create_node_at(
         &self,
         id: NodeId,
         labels: &[LabelToken],
         properties: &[(PropertyKeyToken, PropertyValue)],
-        extra: Option<&(PropertyKeyToken, PropertyValue)>,
+        commit_ts: u64,
     ) -> Result<()> {
-        let first_prop = self.properties.write_chain_with(properties, extra)?;
         let mut record = NodeRecord::new_in_use();
+        record.first_prop = self.properties.write_chain(properties)?;
         record.labels = labels.to_vec();
-        record.first_prop = first_prop;
+        record.commit_ts = commit_ts;
         self.nodes.write(id.raw(), &record)
     }
 
-    /// Overwrites the labels and properties of an existing node with the
-    /// newest committed version (the paper: only the most recent committed
-    /// version is written to the persistent store).
+    /// Overwrites the labels and properties of an existing node, stamping
+    /// the bootstrap timestamp.
     pub fn update_node(
         &self,
         id: NodeId,
         labels: &[LabelToken],
         properties: &[(PropertyKeyToken, PropertyValue)],
     ) -> Result<()> {
-        self.update_node_with(id, labels, properties, None)
+        self.update_node_at(id, labels, properties, 0)
     }
 
-    /// [`GraphStore::update_node`] with an optional extra property appended
-    /// to the chain.
-    pub fn update_node_with(
+    /// Overwrites an existing node with the version committed at
+    /// `commit_ts` (the paper: only the most recent committed version is
+    /// written to the persistent store). The record is stamped with the
+    /// new timestamp before its chain is touched (see the module docs).
+    pub fn update_node_at(
         &self,
         id: NodeId,
         labels: &[LabelToken],
         properties: &[(PropertyKeyToken, PropertyValue)],
-        extra: Option<&(PropertyKeyToken, PropertyValue)>,
+        commit_ts: u64,
     ) -> Result<()> {
         let mut record = self.nodes.load_in_use(id.raw())?;
+        record.commit_ts = commit_ts;
+        self.nodes.write(id.raw(), &record)?;
         self.properties.free_chain(record.first_prop)?;
-        record.first_prop = self.properties.write_chain_with(properties, extra)?;
+        record.first_prop = self.properties.write_chain(properties)?;
         record.labels = labels.to_vec();
         self.nodes.write(id.raw(), &record)
     }
@@ -341,60 +370,88 @@ impl GraphStore {
                 "cannot delete a node that still has relationships",
             ));
         }
-        self.properties.free_chain(record.first_prop)?;
         self.nodes.write(id.raw(), &NodeRecord::default())?;
+        self.properties.free_chain(record.first_prop)?;
         self.nodes.release_id(id.raw());
         Ok(())
     }
 
     /// Returns `true` if the node record is in use.
     pub fn node_exists(&self, id: NodeId) -> Result<bool> {
-        if id.is_none() || id.raw() >= self.nodes.high_id() {
-            return Ok(false);
-        }
-        Ok(self.nodes.load(id.raw())?.in_use)
+        Ok(self.read_node_record(id)?.is_some())
     }
 
-    /// Materialises the node stored under `id`, or `None` if the slot is
-    /// not in use.
-    pub fn read_node(&self, id: NodeId) -> Result<Option<StoredNode>> {
+    /// The in-use record of node `id` — labels, chain heads and commit
+    /// timestamp — without touching the property store; `None` if the slot
+    /// is not in use.
+    pub fn read_node_record(&self, id: NodeId) -> Result<Option<NodeRecord>> {
         if id.is_none() || id.raw() >= self.nodes.high_id() {
             return Ok(None);
         }
         let record = self.nodes.load(id.raw())?;
-        if !record.in_use {
+        Ok(record.in_use.then_some(record))
+    }
+
+    /// Materialises the node stored under `id`, or `None` if the slot is
+    /// not in use. The record and its chain are read without validation:
+    /// use it where no commit applies concurrently (recovery, tools) or
+    /// where a torn read is confirmed later (the verifier).
+    pub fn read_node(&self, id: NodeId) -> Result<Option<StoredNode>> {
+        let Some(record) = self.read_node_record(id)? else {
             return Ok(None);
-        }
+        };
         let properties = self.properties.read_chain(record.first_prop)?;
         Ok(Some(StoredNode {
             id,
             labels: record.labels,
             properties,
+            commit_ts: record.commit_ts,
         }))
     }
 
-    /// Decodes only the requested properties of a node, in `keys` order,
-    /// without materialising the rest of its property chain — the
-    /// single-key fast path decode-based predicate filters and row
-    /// projections ride on. Returns `None` if the node slot is not in use.
-    pub fn read_node_properties(
+    /// Decodes the whole property chain of the node whose record was
+    /// loaded as `record`, then re-loads the record: `None` if it changed
+    /// meanwhile (see the module docs), so the walk cannot be trusted.
+    pub fn node_properties(
         &self,
         id: NodeId,
+        record: &NodeRecord,
+    ) -> Result<Option<Vec<(PropertyKeyToken, PropertyValue)>>> {
+        let walk = self.properties.read_chain(record.first_prop);
+        self.confirm_node(id, record, walk)
+    }
+
+    /// Decodes only the requested properties of the node whose record was
+    /// loaded as `record`, in `keys` order, stopping once every key is
+    /// found — the single-key fast path decode-based predicate filters and
+    /// row projections ride on. Validated like
+    /// [`GraphStore::node_properties`].
+    pub fn node_properties_selected(
+        &self,
+        id: NodeId,
+        record: &NodeRecord,
         keys: &[PropertyKeyToken],
     ) -> Result<Option<Vec<Option<PropertyValue>>>> {
-        let Some(record) = self.read_node_record(id)? else {
-            return Ok(None);
-        };
         let mut out = vec![None; keys.len()];
-        self.properties
-            .decode_selected(record.first_prop, keys, &mut out)?;
-        Ok(Some(out))
+        let walk = self
+            .properties
+            .decode_selected(record.first_prop, keys, &mut out)
+            .map(|()| out);
+        self.confirm_node(id, record, walk)
+    }
+
+    fn confirm_node<T>(&self, id: NodeId, seen: &NodeRecord, walk: Result<T>) -> Result<Option<T>> {
+        let now = self.nodes.load(id.raw())?;
+        let unchanged =
+            now.in_use && now.commit_ts == seen.commit_ts && now.first_prop == seen.first_prop;
+        confirm(unchanged, walk)
     }
 
     // ----- Relationship operations -------------------------------------------
 
-    /// Writes a brand new relationship record and links it at the head of
-    /// both endpoint nodes' relationship chains.
+    /// Writes a brand new relationship record carrying the bootstrap
+    /// timestamp and links it at the head of both endpoint nodes'
+    /// relationship chains.
     pub fn create_relationship(
         &self,
         id: RelationshipId,
@@ -403,23 +460,23 @@ impl GraphStore {
         rel_type: RelTypeToken,
         properties: &[(PropertyKeyToken, PropertyValue)],
     ) -> Result<()> {
-        self.create_relationship_with(id, source, target, rel_type, properties, None)
+        self.create_relationship_at(id, source, target, rel_type, properties, 0)
     }
 
-    /// [`GraphStore::create_relationship`] with an optional extra property
-    /// appended to the chain.
-    pub fn create_relationship_with(
+    /// [`GraphStore::create_relationship`] holding the version committed
+    /// at `commit_ts`.
+    pub fn create_relationship_at(
         &self,
         id: RelationshipId,
         source: NodeId,
         target: NodeId,
         rel_type: RelTypeToken,
         properties: &[(PropertyKeyToken, PropertyValue)],
-        extra: Option<&(PropertyKeyToken, PropertyValue)>,
+        commit_ts: u64,
     ) -> Result<()> {
-        let first_prop = self.properties.write_chain_with(properties, extra)?;
         let mut rel = RelationshipRecord::new_in_use(source, target, rel_type);
-        rel.first_prop = first_prop;
+        rel.first_prop = self.properties.write_chain(properties)?;
+        rel.commit_ts = commit_ts;
 
         let endpoints: &[NodeId] = if source == target {
             &[source]
@@ -447,26 +504,30 @@ impl GraphStore {
         self.relationships.write(id.raw(), &rel)
     }
 
-    /// Overwrites the properties of an existing relationship.
+    /// Overwrites the properties of an existing relationship, stamping the
+    /// bootstrap timestamp.
     pub fn update_relationship(
         &self,
         id: RelationshipId,
         properties: &[(PropertyKeyToken, PropertyValue)],
     ) -> Result<()> {
-        self.update_relationship_with(id, properties, None)
+        self.update_relationship_at(id, properties, 0)
     }
 
-    /// [`GraphStore::update_relationship`] with an optional extra property
-    /// appended to the chain.
-    pub fn update_relationship_with(
+    /// Overwrites an existing relationship with the version committed at
+    /// `commit_ts`, stamping the record first like
+    /// [`GraphStore::update_node_at`].
+    pub fn update_relationship_at(
         &self,
         id: RelationshipId,
         properties: &[(PropertyKeyToken, PropertyValue)],
-        extra: Option<&(PropertyKeyToken, PropertyValue)>,
+        commit_ts: u64,
     ) -> Result<()> {
         let mut record = self.relationships.load_in_use(id.raw())?;
+        record.commit_ts = commit_ts;
+        self.relationships.write(id.raw(), &record)?;
         self.properties.free_chain(record.first_prop)?;
-        record.first_prop = self.properties.write_chain_with(properties, extra)?;
+        record.first_prop = self.properties.write_chain(properties)?;
         self.relationships.write(id.raw(), &record)
     }
 
@@ -502,39 +563,54 @@ impl GraphStore {
                 })?;
             }
         }
-        self.properties.free_chain(rel.first_prop)?;
         self.relationships
             .write(id.raw(), &RelationshipRecord::default())?;
+        self.properties.free_chain(rel.first_prop)?;
         self.relationships.release_id(id.raw());
         Ok(())
     }
 
     /// Returns `true` if the relationship record is in use.
     pub fn relationship_exists(&self, id: RelationshipId) -> Result<bool> {
-        if id.is_none() || id.raw() >= self.relationships.high_id() {
-            return Ok(false);
-        }
-        Ok(self.relationships.load(id.raw())?.in_use)
+        Ok(self.read_relationship_record(id)?.is_some())
     }
 
-    /// Materialises the relationship stored under `id`, or `None` if the
-    /// slot is not in use.
-    pub fn read_relationship(&self, id: RelationshipId) -> Result<Option<StoredRelationship>> {
+    /// The in-use record of relationship `id` — endpoints, type, chain
+    /// pointers and commit timestamp — without touching the property store;
+    /// `None` if the slot is not in use.
+    pub fn read_relationship_record(
+        &self,
+        id: RelationshipId,
+    ) -> Result<Option<RelationshipRecord>> {
         if id.is_none() || id.raw() >= self.relationships.high_id() {
             return Ok(None);
         }
         let record = self.relationships.load(id.raw())?;
-        if !record.in_use {
+        Ok(record.in_use.then_some(record))
+    }
+
+    /// Materialises the relationship stored under `id`, or `None` if the
+    /// slot is not in use. Unvalidated, like [`GraphStore::read_node`].
+    pub fn read_relationship(&self, id: RelationshipId) -> Result<Option<StoredRelationship>> {
+        let Some(record) = self.read_relationship_record(id)? else {
             return Ok(None);
-        }
+        };
         let properties = self.properties.read_chain(record.first_prop)?;
-        Ok(Some(StoredRelationship {
-            id,
-            source: record.source,
-            target: record.target,
-            rel_type: record.rel_type,
-            properties,
-        }))
+        Ok(Some(stored_relationship(id, &record, properties)))
+    }
+
+    /// Decodes the property chain of the relationship whose record was
+    /// loaded as `record`; validated like [`GraphStore::node_properties`].
+    pub fn relationship_properties(
+        &self,
+        id: RelationshipId,
+        record: &RelationshipRecord,
+    ) -> Result<Option<Vec<(PropertyKeyToken, PropertyValue)>>> {
+        let walk = self.properties.read_chain(record.first_prop);
+        let now = self.relationships.load(id.raw())?;
+        let unchanged =
+            now.in_use && now.commit_ts == record.commit_ts && now.first_prop == record.first_prop;
+        confirm(unchanged, walk)
     }
 
     /// Materialises every relationship attached to `node` by walking its
@@ -558,13 +634,7 @@ impl GraphStore {
             steps += 1;
             let rel = self.relationships.load_in_use(current.raw())?;
             let properties = self.properties.read_chain(rel.first_prop)?;
-            out.push(StoredRelationship {
-                id: current,
-                source: rel.source,
-                target: rel.target,
-                rel_type: rel.rel_type,
-                properties,
-            });
+            out.push(stored_relationship(current, &rel, properties));
             let (_, next) = rel.chain_for(node);
             current = next;
         }
@@ -698,22 +768,36 @@ impl GraphStore {
         GraphStoreStats {
             nodes: self.nodes.cache_stats(),
             relationships: self.relationships.cache_stats(),
+            properties: self.properties.record_store().cache_stats(),
             property_record_writes: self.properties.record_writes(),
             node_high_id: self.nodes.high_id(),
             relationship_high_id: self.relationships.high_id(),
         }
     }
+}
 
-    fn read_node_record(&self, id: NodeId) -> Result<Option<NodeRecord>> {
-        if id.is_none() || id.raw() >= self.nodes.high_id() {
-            return Ok(None);
-        }
-        let record = self.nodes.load(id.raw())?;
-        if record.in_use {
-            Ok(Some(record))
-        } else {
-            Ok(None)
-        }
+/// The verdict of a validated payload read: the walk stands only if the
+/// owner's record did not change while it ran.
+fn confirm<T>(unchanged: bool, walk: Result<T>) -> Result<Option<T>> {
+    if unchanged {
+        walk.map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+fn stored_relationship(
+    id: RelationshipId,
+    record: &RelationshipRecord,
+    properties: Vec<(PropertyKeyToken, PropertyValue)>,
+) -> StoredRelationship {
+    StoredRelationship {
+        id,
+        source: record.source,
+        target: record.target,
+        rel_type: record.rel_type,
+        properties,
+        commit_ts: record.commit_ts,
     }
 }
 
@@ -1265,6 +1349,92 @@ mod tests {
         store.delete_relationship(shared).unwrap();
         assert_eq!(store.node_degree(n1).unwrap(), PER_SIDE);
         assert_eq!(store.node_degree(n3).unwrap(), PER_SIDE);
+    }
+
+    #[test]
+    fn commit_ts_lives_in_the_record() {
+        let dir = TempDir::new("gs_commit_ts");
+        let store = open(&dir);
+        let (a, b) = (store.allocate_node_id(), store.allocate_node_id());
+        store
+            .create_node_at(a, &[LabelToken(1)], &props(&[(0, 1)]), 7)
+            .unwrap();
+        store.create_node(b, &[], &[]).unwrap();
+        let r = store.allocate_relationship_id();
+        store
+            .create_relationship_at(r, a, b, RelTypeToken(0), &props(&[(1, 2)]), 8)
+            .unwrap();
+        assert_eq!(store.read_node(a).unwrap().unwrap().commit_ts, 7);
+        assert_eq!(store.read_node(b).unwrap().unwrap().commit_ts, 0);
+        assert_eq!(
+            store
+                .read_relationship_record(r)
+                .unwrap()
+                .unwrap()
+                .commit_ts,
+            8
+        );
+
+        store
+            .update_node_at(a, &[LabelToken(2)], &props(&[(0, 5)]), 11)
+            .unwrap();
+        store
+            .update_relationship_at(r, &props(&[(1, 3)]), 12)
+            .unwrap();
+        let node = store.read_node(a).unwrap().unwrap();
+        assert_eq!((node.commit_ts, node.properties), (11, props(&[(0, 5)])));
+        let rel = store.read_relationship(r).unwrap().unwrap();
+        assert_eq!((rel.commit_ts, rel.properties), (12, props(&[(1, 3)])));
+        // The rewrite left exactly one live chain per entity.
+        assert_eq!(store.properties.count_in_use(), 2);
+    }
+
+    #[test]
+    fn payload_reads_refuse_a_record_rewritten_under_them() {
+        let dir = TempDir::new("gs_validated");
+        let store = open(&dir);
+        let (a, b) = (store.allocate_node_id(), store.allocate_node_id());
+        store
+            .create_node_at(a, &[], &props(&[(0, 1), (1, 2)]), 3)
+            .unwrap();
+        store.create_node(b, &[], &[]).unwrap();
+        let r = store.allocate_relationship_id();
+        store
+            .create_relationship_at(r, a, b, RelTypeToken(0), &props(&[(2, 3)]), 3)
+            .unwrap();
+
+        let node = store.read_node_record(a).unwrap().unwrap();
+        let rel = store.read_relationship_record(r).unwrap().unwrap();
+        assert_eq!(
+            store.node_properties(a, &node).unwrap(),
+            Some(props(&[(0, 1), (1, 2)]))
+        );
+        assert_eq!(
+            store
+                .node_properties_selected(a, &node, &[PropertyKeyToken(1)])
+                .unwrap(),
+            Some(vec![Some(PropertyValue::Int(2))])
+        );
+
+        // A commit rewrites both after the records were loaded: the walks
+        // may have mixed versions, so neither payload is handed out.
+        store.update_node_at(a, &[], &props(&[(0, 9)]), 4).unwrap();
+        store
+            .update_relationship_at(r, &props(&[(2, 9)]), 4)
+            .unwrap();
+        assert_eq!(store.node_properties(a, &node).unwrap(), None);
+        assert_eq!(
+            store
+                .node_properties_selected(a, &node, &[PropertyKeyToken(0)])
+                .unwrap(),
+            None
+        );
+        assert_eq!(store.relationship_properties(r, &rel).unwrap(), None);
+
+        // Deletion is a change too.
+        let rel = store.read_relationship_record(r).unwrap().unwrap();
+        store.delete_relationship(r).unwrap();
+        assert_eq!(store.relationship_properties(r, &rel).unwrap(), None);
     }
 
     #[test]

@@ -63,25 +63,14 @@ impl PropertyStore {
         &self,
         properties: &[(PropertyKeyToken, PropertyValue)],
     ) -> Result<PropertyRecordId> {
-        self.write_chain_with(properties, None)
-    }
-
-    /// Writes a property chain consisting of `properties` followed by an
-    /// optional `extra` entry, without materialising the concatenation.
-    /// The commit pipeline uses this to append the reserved commit-ts
-    /// property to every entity it installs instead of cloning each op's
-    /// full property list.
-    pub fn write_chain_with(
-        &self,
-        properties: &[(PropertyKeyToken, PropertyValue)],
-        extra: Option<&(PropertyKeyToken, PropertyValue)>,
-    ) -> Result<PropertyRecordId> {
-        let total = properties.len() + usize::from(extra.is_some());
-        if total == 0 {
+        if properties.is_empty() {
             return Ok(PropertyRecordId::NONE);
         }
-        let ids: Vec<u64> = (0..total).map(|_| self.records.allocate_id()).collect();
-        for (i, (key, value)) in properties.iter().chain(extra).enumerate() {
+        let ids: Vec<u64> = properties
+            .iter()
+            .map(|_| self.records.allocate_id())
+            .collect();
+        for (i, (key, value)) in properties.iter().enumerate() {
             let stored = self.store_value(value)?;
             let mut record = PropertyRecord::new_in_use(*key, stored);
             record.next = if i + 1 < ids.len() {

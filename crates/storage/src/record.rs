@@ -5,17 +5,23 @@
 //! from the entity ID:
 //!
 //! * a node record points at the node's first relationship and first
-//!   property and carries its (inline) label tokens,
+//!   property and carries its (inline) label tokens and the commit
+//!   timestamp of the version it holds,
 //! * a relationship record stores the source and target node IDs, the
-//!   per-node relationship chain pointers, the relationship type and the
-//!   first property,
+//!   per-node relationship chain pointers, the relationship type, the
+//!   first property and the commit timestamp,
 //! * a property record stores one key/value pair and a pointer to the next
 //!   property of the same owner; over-long string values overflow into the
 //!   dynamic store,
 //! * a dynamic record is one block of an overflow chain.
 //!
-//! Record sizes are chosen to divide the page size evenly so a record never
-//! straddles a page boundary.
+//! Because the commit timestamp sits in the fixed-size record, a reader
+//! decides visibility from the record alone and touches the property store
+//! only when it needs property values.
+//!
+//! Records are packed from the start of each page's usable area, as many
+//! whole records as fit (see [`crate::pages::records_per_page`]), so a
+//! record never straddles a page boundary or the page trailer.
 
 use crate::error::{Result, StorageError};
 use crate::ids::{
@@ -26,7 +32,7 @@ use crate::ids::{
 /// Size of a node record in bytes.
 pub const NODE_RECORD_SIZE: usize = 64;
 /// Size of a relationship record in bytes.
-pub const RELATIONSHIP_RECORD_SIZE: usize = 64;
+pub const RELATIONSHIP_RECORD_SIZE: usize = 72;
 /// Size of a property record in bytes.
 pub const PROPERTY_RECORD_SIZE: usize = 128;
 /// Size of a dynamic (string overflow) record in bytes.
@@ -46,18 +52,8 @@ fn put_u32(buf: &mut [u8], offset: usize, value: u32) {
 }
 
 #[inline]
-fn get_u32(buf: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes(buf[offset..offset + 4].try_into().expect("4 bytes"))
-}
-
-#[inline]
 fn put_u64(buf: &mut [u8], offset: usize, value: u64) {
     buf[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
-}
-
-#[inline]
-fn get_u64(buf: &[u8], offset: usize) -> u64 {
-    u64::from_le_bytes(buf[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
 #[inline]
@@ -65,12 +61,41 @@ fn put_u16(buf: &mut [u8], offset: usize, value: u16) {
     buf[offset..offset + 2].copy_from_slice(&value.to_le_bytes());
 }
 
+/// Copies `N` bytes at `offset` into an array. Callers check the buffer
+/// length once per record, so the slice is always exactly `N` long.
 #[inline]
-fn get_u16(buf: &[u8], offset: usize) -> u16 {
-    u16::from_le_bytes(buf[offset..offset + 2].try_into().expect("2 bytes"))
+fn get_bytes<const N: usize>(buf: &[u8], offset: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&buf[offset..offset + N]);
+    out
 }
 
-/// A node record: `flags | first_rel | first_prop | label_count | labels[8]`.
+#[inline]
+fn get_u16(buf: &[u8], offset: usize) -> u16 {
+    u16::from_le_bytes(get_bytes(buf, offset))
+}
+
+#[inline]
+fn get_u32(buf: &[u8], offset: usize) -> u32 {
+    u32::from_le_bytes(get_bytes(buf, offset))
+}
+
+#[inline]
+fn get_u64(buf: &[u8], offset: usize) -> u64 {
+    u64::from_le_bytes(get_bytes(buf, offset))
+}
+
+/// A node record (64 bytes):
+///
+/// ```text
+/// 0      flags       u8   (bit 0: in use)
+/// 1..9   first_rel   u64
+/// 9..17  first_prop  u64
+/// 17     label_count u8
+/// 18..50 labels      8 × u32
+/// 50..58 commit_ts   u64
+/// 58..64 unused
+/// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeRecord {
     /// Whether the record slot is in use.
@@ -81,6 +106,10 @@ pub struct NodeRecord {
     pub first_prop: PropertyRecordId,
     /// Label tokens attached to the node (at most [`MAX_INLINE_LABELS`]).
     pub labels: Vec<LabelToken>,
+    /// Commit timestamp of the version this record holds (the paper's
+    /// commit-timestamp field, kept in the record so visibility is decided
+    /// without reading the property store). Zero for bootstrap data.
+    pub commit_ts: u64,
 }
 
 impl Default for NodeRecord {
@@ -90,6 +119,7 @@ impl Default for NodeRecord {
             first_rel: RelationshipId::NONE,
             first_prop: PropertyRecordId::NONE,
             labels: Vec::new(),
+            commit_ts: 0,
         }
     }
 }
@@ -123,6 +153,7 @@ impl NodeRecord {
         for (i, label) in self.labels.iter().enumerate() {
             put_u32(&mut buf, 18 + i * 4, label.0);
         }
+        put_u64(&mut buf, 50, self.commit_ts);
         Ok(buf)
     }
 
@@ -149,11 +180,26 @@ impl NodeRecord {
             first_rel: RelationshipId::new(get_u64(buf, 1)),
             first_prop: PropertyRecordId::new(get_u64(buf, 9)),
             labels,
+            commit_ts: get_u64(buf, 50),
         })
     }
 }
 
-/// A relationship record.
+/// A relationship record (72 bytes):
+///
+/// ```text
+/// 0      flags        u8   (bit 0: in use)
+/// 1..5   rel_type     u32
+/// 5..13  source       u64
+/// 13..21 target       u64
+/// 21..29 source_prev  u64
+/// 29..37 source_next  u64
+/// 37..45 target_prev  u64
+/// 45..53 target_next  u64
+/// 53..61 first_prop   u64
+/// 61..69 commit_ts    u64
+/// 69..72 unused
+/// ```
 ///
 /// Relationships form two doubly linked chains, one threaded through the
 /// source node's relationships and one through the target node's, exactly
@@ -179,6 +225,9 @@ pub struct RelationshipRecord {
     pub target_next: RelationshipId,
     /// First property in this relationship's property chain.
     pub first_prop: PropertyRecordId,
+    /// Commit timestamp of the version this record holds (see
+    /// [`NodeRecord::commit_ts`]).
+    pub commit_ts: u64,
 }
 
 impl Default for RelationshipRecord {
@@ -193,6 +242,7 @@ impl Default for RelationshipRecord {
             target_prev: RelationshipId::NONE,
             target_next: RelationshipId::NONE,
             first_prop: PropertyRecordId::NONE,
+            commit_ts: 0,
         }
     }
 }
@@ -222,6 +272,7 @@ impl RelationshipRecord {
         put_u64(&mut buf, 37, self.target_prev.raw());
         put_u64(&mut buf, 45, self.target_next.raw());
         put_u64(&mut buf, 53, self.first_prop.raw());
+        put_u64(&mut buf, 61, self.commit_ts);
         buf
     }
 
@@ -244,6 +295,7 @@ impl RelationshipRecord {
             target_prev: RelationshipId::new(get_u64(buf, 37)),
             target_next: RelationshipId::new(get_u64(buf, 45)),
             first_prop: PropertyRecordId::new(get_u64(buf, 53)),
+            commit_ts: get_u64(buf, 61),
         })
     }
 
@@ -528,6 +580,7 @@ mod tests {
         rec.first_rel = RelationshipId::new(17);
         rec.first_prop = PropertyRecordId::new(99);
         rec.labels = vec![LabelToken(1), LabelToken(7), LabelToken(42)];
+        rec.commit_ts = 0xDEAD_BEEF_0042;
         let buf = rec.encode().unwrap();
         let back = NodeRecord::decode(0, &buf).unwrap();
         assert_eq!(rec, back);
@@ -564,6 +617,7 @@ mod tests {
         rec.source_next = RelationshipId::new(10);
         rec.target_prev = RelationshipId::new(20);
         rec.first_prop = PropertyRecordId::new(30);
+        rec.commit_ts = u64::MAX - 1;
         let buf = rec.encode();
         let back = RelationshipRecord::decode(0, &buf).unwrap();
         assert_eq!(rec, back);
@@ -677,18 +731,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn relationship_records_pack_113_per_page_clear_of_the_trailer() {
+        let per_page = crate::pages::records_per_page(RELATIONSHIP_RECORD_SIZE);
+        assert_eq!(per_page, 113);
+        for id in 0..per_page * 3 {
+            let loc = crate::pages::locate_record(id, RELATIONSHIP_RECORD_SIZE);
+            assert_eq!(loc.page_no, id / per_page);
+            assert!(
+                loc.offset_in_page + RELATIONSHIP_RECORD_SIZE <= crate::pages::PAGE_USABLE_SIZE,
+                "record {id} straddles the trailer"
+            );
+        }
+    }
+
+    #[test]
+    fn commit_ts_sits_in_the_record_tail() {
+        let mut node = NodeRecord::new_in_use();
+        node.labels = (0..MAX_INLINE_LABELS as u32).map(LabelToken).collect();
+        node.commit_ts = 0x0102_0304_0506_0708;
+        let buf = node.encode().unwrap();
+        assert_eq!(&buf[50..58], &node.commit_ts.to_le_bytes());
+        assert!(buf[58..].iter().all(|&b| b == 0));
+
+        let mut rel =
+            RelationshipRecord::new_in_use(NodeId::new(1), NodeId::new(2), RelTypeToken(3));
+        rel.commit_ts = 0x1112_1314_1516_1718;
+        let buf = rel.encode();
+        assert_eq!(&buf[61..69], &rel.commit_ts.to_le_bytes());
+        assert!(buf[69..].iter().all(|&b| b == 0));
+    }
+
     proptest! {
         #[test]
         fn prop_node_record_roundtrip(
             first_rel in proptest::option::of(0u64..1_000_000),
             first_prop in proptest::option::of(0u64..1_000_000),
             labels in proptest::collection::vec(0u32..10_000, 0..=MAX_INLINE_LABELS),
+            commit_ts in proptest::num::u64::ANY,
         ) {
             let rec = NodeRecord {
                 in_use: true,
                 first_rel: first_rel.map(RelationshipId::new).unwrap_or(RelationshipId::NONE),
                 first_prop: first_prop.map(PropertyRecordId::new).unwrap_or(PropertyRecordId::NONE),
                 labels: labels.into_iter().map(LabelToken).collect(),
+                commit_ts,
             };
             let buf = rec.encode().unwrap();
             prop_assert_eq!(NodeRecord::decode(0, &buf).unwrap(), rec);
@@ -703,6 +790,8 @@ mod tests {
             sn in 0u64..1_000_000,
             tp in 0u64..1_000_000,
             tn in 0u64..1_000_000,
+            first_prop in proptest::option::of(0u64..1_000_000),
+            commit_ts in proptest::num::u64::ANY,
         ) {
             let rec = RelationshipRecord {
                 in_use: true,
@@ -713,7 +802,8 @@ mod tests {
                 source_next: RelationshipId::new(sn),
                 target_prev: RelationshipId::new(tp),
                 target_next: RelationshipId::new(tn),
-                first_prop: PropertyRecordId::NONE,
+                first_prop: first_prop.map(PropertyRecordId::new).unwrap_or(PropertyRecordId::NONE),
+                commit_ts,
             };
             let buf = rec.encode();
             prop_assert_eq!(RelationshipRecord::decode(0, &buf).unwrap(), rec);

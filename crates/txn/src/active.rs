@@ -47,10 +47,22 @@ impl ActiveTransactionTable {
 
     /// Registers a transaction as active with the given start timestamp.
     pub fn register(&self, txn: TxnId, start_ts: Timestamp) {
+        self.register_with(txn, || start_ts);
+    }
+
+    /// Registers a transaction whose start timestamp `start_ts` reads
+    /// *under the table lock*, and returns it. A watermark computed from
+    /// this table then either counts the new transaction or was computed
+    /// before its timestamp was read — so, with a monotone clock, GC never
+    /// reclaims a version the new snapshot needs. Reading the clock first
+    /// and registering afterwards leaves a window in which it can.
+    pub fn register_with(&self, txn: TxnId, start_ts: impl FnOnce() -> Timestamp) -> Timestamp {
         let mut inner = self.inner.write();
+        let start_ts = start_ts();
         if inner.by_txn.insert(txn, start_ts).is_none() {
             *inner.by_start.entry(start_ts).or_insert(0) += 1;
         }
+        start_ts
     }
 
     /// Removes a transaction from the table (on commit or rollback).
@@ -199,6 +211,36 @@ mod tests {
         let mut ids = table.active_ids();
         ids.sort();
         assert_eq!(ids, vec![TxnId(1), TxnId(2)]);
+    }
+
+    #[test]
+    fn watermark_waits_for_a_registration_reading_its_timestamp() {
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+        let table = Arc::new(ActiveTransactionTable::new());
+        let (inside_tx, inside_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let registering = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                table.register_with(TxnId(1), || {
+                    inside_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                    Timestamp(5)
+                })
+            })
+        };
+        inside_rx.recv().unwrap();
+        // A GC computing its watermark now must not run ahead with the
+        // clock (100) and reclaim what the registering snapshot (5) needs.
+        let gc = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || table.gc_watermark(Timestamp(100)))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        go_tx.send(()).unwrap();
+        assert_eq!(registering.join().unwrap(), Timestamp(5));
+        assert_eq!(gc.join().unwrap(), Timestamp(5));
     }
 
     #[test]

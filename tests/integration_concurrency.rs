@@ -325,3 +325,194 @@ fn rc_counter_with_retries_is_exact() {
     }
     assert_eq!(read_counter(&db, counter), (threads * per_thread) as i64);
 }
+
+/// Everything one snapshot reads about a node: its properties, one of them
+/// again through the single-key path, its relationships with their
+/// properties, its neighbours and its two-hop expansion.
+struct Observation {
+    properties: Vec<(String, PropertyValue)>,
+    first: Option<PropertyValue>,
+    rels: Vec<(graphsi_core::RelationshipId, Vec<(String, PropertyValue)>)>,
+    neighbors: Vec<NodeId>,
+    two_hop: Vec<NodeId>,
+}
+
+fn observe(tx: &graphsi_core::Transaction, node: NodeId) -> Observation {
+    use graphsi_core::Direction;
+    let properties: Vec<_> = tx
+        .get_node(node)
+        .unwrap()
+        .expect("hot nodes are never deleted")
+        .properties
+        .into_iter()
+        .collect();
+    let mut rels: Vec<_> = tx
+        .relationships(node, Direction::Both)
+        .unwrap()
+        .map(|r| {
+            let r = r.unwrap();
+            (r.id, r.properties.into_iter().collect::<Vec<_>>())
+        })
+        .collect();
+    rels.sort_by_key(|(id, _)| *id);
+    let mut neighbors = tx.neighbors_vec(node, Direction::Both).unwrap();
+    neighbors.sort();
+    let mut two_hop = tx
+        .query()
+        .start_nodes([node])
+        .expand(Direction::Both, Some("LINK"))
+        .expand(Direction::Both, Some("LINK"))
+        .ids()
+        .unwrap();
+    two_hop.sort();
+    Observation {
+        properties,
+        first: tx.node_property(node, "p0").unwrap(),
+        rels,
+        neighbors,
+        two_hop,
+    }
+}
+
+/// One commit writes the same counter into every property of an entity,
+/// so a payload read that mixes two versions shows unequal values.
+fn assert_untorn(what: &str, properties: &[(String, PropertyValue)]) {
+    let counters: Vec<&PropertyValue> = properties
+        .iter()
+        .filter(|(k, _)| k.starts_with('p'))
+        .map(|(_, v)| v)
+        .collect();
+    assert!(
+        counters.windows(2).all(|w| w[0] == w[1]),
+        "{what} mixes versions: {properties:?}"
+    );
+}
+
+/// The validated store read under fire. A property cache of two pages
+/// and a GC every few milliseconds send most reads to the store while
+/// writers keep rewriting the same few nodes and relationships, each
+/// commit stamping one counter into all of an entity's properties.
+/// Read-only snapshots read every entity twice — `get_node`,
+/// `node_property`, `relationships`, `neighbors` and a two-hop `expand` —
+/// and each re-read must equal the first. A store read that trusted a
+/// record header loaded before a concurrent apply rewrote the chain would
+/// hand a later commit's values to an older snapshot, and a re-read
+/// (served from the cache once the apply finished) would disagree.
+#[test]
+fn snapshot_rereads_agree_while_store_payloads_are_rewritten() {
+    const NODES: usize = 6;
+    const PROPS: usize = 12;
+    const RUN: Duration = Duration::from_millis(1500);
+    let _watchdog = graphsi_core::test_support::Watchdog::arm(
+        "snapshot_rereads_agree",
+        Duration::from_secs(120),
+    );
+    let dir = TempDir::new("conc_validated_reads");
+    let db = Arc::new(
+        GraphDb::open(
+            dir.path(),
+            DbConfig::default()
+                .with_sync_policy(SyncPolicy::OnDemand)
+                .with_cache_pages_per_store(2),
+        )
+        .unwrap(),
+    );
+    let keys: Vec<String> = (0..PROPS).map(|i| format!("p{i}")).collect();
+    let counter = Arc::new(AtomicU64::new(1));
+    let props = |c: i64| -> Vec<(&str, PropertyValue)> {
+        keys.iter()
+            .map(|k| (k.as_str(), PropertyValue::Int(c)))
+            .collect()
+    };
+    let mut tx = db.begin();
+    let nodes: Vec<NodeId> = (0..NODES)
+        .map(|_| tx.create_node(&["Hot"], &props(0)).unwrap())
+        .collect();
+    let rels: Vec<_> = (0..NODES)
+        .map(|i| {
+            tx.create_relationship(nodes[i], nodes[(i + 1) % NODES], "LINK", &props(0))
+                .unwrap()
+        })
+        .collect();
+    // Cold filler spreads the property store over many more pages than
+    // the cache holds.
+    for i in 0..400 {
+        tx.create_node(&["Cold"], &props(-i)).unwrap();
+    }
+    tx.commit().unwrap();
+
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let mut handles = Vec::new();
+    for w in 0..2usize {
+        let (db, stop, counter) = (Arc::clone(&db), Arc::clone(&stop), Arc::clone(&counter));
+        let (nodes, rels, keys) = (nodes.clone(), rels.clone(), keys.clone());
+        handles.push(std::thread::spawn(move || {
+            let mut i = w;
+            while !stop.load(Ordering::Relaxed) {
+                let c = counter.fetch_add(1, Ordering::Relaxed) as i64;
+                let (node, rel) = (nodes[i % NODES], rels[i % NODES]);
+                db.write_with_retry(|tx| {
+                    for k in &keys {
+                        tx.set_node_property(node, k, PropertyValue::Int(c))?;
+                        tx.set_relationship_property(rel, k, PropertyValue::Int(c))?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+                i += 2;
+            }
+        }));
+    }
+    {
+        let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+        handles.push(std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                db.run_gc();
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        }));
+    }
+    let mut readers = Vec::new();
+    for _ in 0..2 {
+        let (db, stop, nodes) = (Arc::clone(&db), Arc::clone(&stop), nodes.clone());
+        readers.push(std::thread::spawn(move || {
+            let mut snapshots = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let tx = db.txn().read_only().begin();
+                let first: Vec<Observation> = nodes.iter().map(|&n| observe(&tx, n)).collect();
+                for (&node, seen) in nodes.iter().zip(&first) {
+                    assert_untorn("node", &seen.properties);
+                    for (_, rel_props) in &seen.rels {
+                        assert_untorn("relationship", rel_props);
+                    }
+                    assert_eq!(
+                        seen.first.as_ref(),
+                        seen.properties
+                            .iter()
+                            .find(|(k, _)| k == "p0")
+                            .map(|(_, v)| v)
+                    );
+                    let again = observe(&tx, node);
+                    assert_eq!(again.properties, seen.properties, "properties of {node}");
+                    assert_eq!(again.first, seen.first, "node_property of {node}");
+                    assert_eq!(again.rels, seen.rels, "relationships of {node}");
+                    assert_eq!(again.neighbors, seen.neighbors, "neighbors of {node}");
+                    assert_eq!(again.two_hop, seen.two_hop, "two hops from {node}");
+                }
+                snapshots += 1;
+            }
+            snapshots
+        }));
+    }
+    std::thread::sleep(RUN);
+    stop.store(true, Ordering::Relaxed);
+    for h in handles {
+        h.join().unwrap();
+    }
+    let snapshots: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(snapshots > 0);
+    assert!(
+        counter.load(Ordering::Relaxed) > 10,
+        "writers made no progress"
+    );
+}

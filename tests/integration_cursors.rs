@@ -341,3 +341,86 @@ fn every_read_surface_is_chunk_size_invariant() {
         assert_eq!(snapshot(&tx), baseline, "chunk {chunk}");
     }
 }
+
+/// Property-store page requests (hits and misses) so far.
+fn property_page_requests(db: &GraphDb) -> u64 {
+    let stats = db.store_stats().properties;
+    stats.hits + stats.misses
+}
+
+/// After a reopen every cache is cold. Existence checks, neighbour walks,
+/// degrees and a two-hop expansion decide visibility from the node and
+/// relationship records alone, so they request no page of the property
+/// store; property reads still fault it in and still see the right values.
+#[test]
+fn header_only_reads_touch_no_property_page() {
+    const SPOKES: usize = 150;
+    let dir = TempDir::new("cursor_header_only");
+    let config = DbConfig::default().with_cache_pages_per_store(4);
+    let (hub, spokes) = {
+        let db = GraphDb::open(dir.path(), config.clone()).unwrap();
+        let mut tx = db.begin();
+        let hub = tx
+            .create_node(&["Hub"], &[("name", PropertyValue::from("hub"))])
+            .unwrap();
+        let spokes: Vec<NodeId> = (0..SPOKES as i64)
+            .map(|i| {
+                let props = [
+                    ("n", PropertyValue::Int(i)),
+                    ("tag", PropertyValue::from("x".repeat(64))),
+                    ("half", PropertyValue::Int(i / 2)),
+                ];
+                tx.create_node(&["Spoke"], &props).unwrap()
+            })
+            .collect();
+        for (i, &spoke) in spokes.iter().enumerate() {
+            tx.create_relationship(hub, spoke, "SPOKE", &[("i", PropertyValue::Int(i as i64))])
+                .unwrap();
+            let next = spokes[(i + 1) % SPOKES];
+            tx.create_relationship(spoke, next, "RING", &[("w", PropertyValue::Int(1))])
+                .unwrap();
+        }
+        tx.commit().unwrap();
+        // A second version of every spoke, so recovery replays updates too.
+        let mut tx = db.begin();
+        for (i, &spoke) in spokes.iter().enumerate() {
+            tx.set_node_property(spoke, "n", PropertyValue::Int(i as i64 * 10))
+                .unwrap();
+        }
+        tx.commit().unwrap();
+        db.checkpoint().unwrap();
+        (hub, spokes)
+    };
+
+    let db = GraphDb::open(dir.path(), config).unwrap();
+    let tx = db.txn().read_only().begin();
+    let before = property_page_requests(&db);
+    assert!(tx.node_exists(hub).unwrap());
+    assert!(spokes.iter().all(|&s| tx.node_exists(s).unwrap()));
+    assert_eq!(tx.neighbors(hub, Direction::Both).unwrap().count(), SPOKES);
+    assert_eq!(tx.degree(hub, Direction::Both).unwrap(), SPOKES);
+    assert_eq!(tx.degree(spokes[0], Direction::Both).unwrap(), 3);
+    let two_hop = tx
+        .query()
+        .start_nodes([hub])
+        .expand(Direction::Outgoing, Some("SPOKE"))
+        .expand(Direction::Outgoing, Some("RING"))
+        .distinct()
+        .count()
+        .unwrap();
+    assert_eq!(two_hop, SPOKES);
+    assert_eq!(
+        property_page_requests(&db),
+        before,
+        "a header-only read requested a property page"
+    );
+
+    for (i, &spoke) in spokes.iter().enumerate() {
+        assert_eq!(
+            tx.node_property(spoke, "n").unwrap(),
+            Some(PropertyValue::Int(i as i64 * 10))
+        );
+    }
+    assert!(db.store_stats().properties.misses > 0);
+    assert!(property_page_requests(&db) > before);
+}

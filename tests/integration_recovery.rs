@@ -5,7 +5,8 @@
 use std::time::Duration;
 
 use graphsi_core::test_support::{TempDir, Watchdog};
-use graphsi_core::{DbConfig, Direction, GraphDb, NodeId, PropertyValue, SyncPolicy};
+use graphsi_core::{DbConfig, DbError, Direction, GraphDb, NodeId, PropertyValue, SyncPolicy};
+use graphsi_storage::{GraphStore, GraphStoreConfig};
 
 fn config() -> DbConfig {
     DbConfig::default().with_sync_policy(SyncPolicy::Always)
@@ -41,6 +42,51 @@ fn copy_dir_files(from: &std::path::Path, to: &std::path::Path) {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
     }
+}
+
+/// Every WAL segment of the database with its bytes.
+fn wal_image(db_dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    wal_segment_paths(db_dir)
+        .into_iter()
+        .map(|path| {
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect()
+}
+
+/// Stores of the old format kept commit timestamps as a chained property
+/// and interned its key on every open. Such a directory is refused with a
+/// typed error before the write-ahead log is opened: the log is left byte
+/// for byte as it was, ready for the version that wrote it.
+#[test]
+fn old_format_directory_is_refused_before_the_wal_is_touched() {
+    let dir = TempDir::new("rec_old_format");
+    {
+        let db = GraphDb::open(dir.path(), config()).unwrap();
+        let mut tx = db.begin();
+        tx.create_node(&["Old"], &[("k", PropertyValue::Int(1))])
+            .unwrap();
+        tx.commit().unwrap();
+    }
+    {
+        let store = GraphStore::open(dir.path(), GraphStoreConfig::default()).unwrap();
+        store.tokens().property_key("__graphsi.commit_ts").unwrap();
+        store.flush().unwrap();
+    }
+    let before = wal_image(dir.path());
+    assert!(!before.is_empty() && before.iter().any(|(_, bytes)| !bytes.is_empty()));
+
+    let err = GraphDb::open(dir.path(), config()).unwrap_err();
+    assert!(
+        matches!(err, DbError::UnsupportedStoreFormat { .. }),
+        "unexpected error: {err}"
+    );
+    assert_eq!(
+        wal_image(dir.path()),
+        before,
+        "the refused open touched the WAL"
+    );
 }
 
 #[test]
