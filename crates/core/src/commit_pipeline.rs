@@ -93,6 +93,9 @@ struct PendingPublication {
     withdrawn: bool,
 }
 
+/// Size of the stage-C store-apply shard lock table.
+const STORE_APPLY_SHARDS: usize = 64;
+
 /// The shared commit-pipeline state of one open database.
 pub(crate) struct CommitPipeline {
     /// Stage A: serialises validation, timestamp assignment and WAL append.
@@ -144,15 +147,8 @@ impl CommitPipeline {
     /// Creates the pipeline. `durable_lsn` seeds the batcher's durable
     /// watermark — on open every LSN already in the log is durable (it was
     /// read back from disk), so the first post-recovery sync must not
-    /// count replayed records as part of its batch. `store_shards` is the
-    /// size of the stage-C store-apply lock table (1 = the old single
-    /// lock).
-    pub(crate) fn new(
-        max_batch: usize,
-        max_delay: Duration,
-        durable_lsn: u64,
-        store_shards: usize,
-    ) -> Self {
+    /// count replayed records as part of its batch.
+    pub(crate) fn new(max_batch: usize, max_delay: Duration, durable_lsn: u64) -> Self {
         CommitPipeline {
             seq_lock: Mutex::with_rank((), lock_rank::PIPELINE_SEQ, "core.pipeline.seq"),
             group: Mutex::with_rank(
@@ -177,7 +173,7 @@ impl CommitPipeline {
                 lock_rank::PIPELINE_PENDING_KEYS,
                 "core.pipeline.pending_keys",
             ),
-            store_shards: (0..store_shards.max(1))
+            store_shards: (0..STORE_APPLY_SHARDS)
                 .map(|i| {
                     Mutex::with_rank(
                         (),
@@ -544,7 +540,7 @@ mod tests {
     use std::sync::Arc;
 
     fn pipeline() -> CommitPipeline {
-        CommitPipeline::new(8, Duration::ZERO, 0, 4)
+        CommitPipeline::new(8, Duration::ZERO, 0)
     }
 
     #[test]
@@ -677,7 +673,7 @@ mod tests {
         let wal = Arc::new(
             SegmentedWal::open(dir.path().join("wal"), SyncPolicy::OnDemand, 1 << 20).unwrap(),
         );
-        let p = Arc::new(CommitPipeline::new(16, Duration::from_millis(5), 0, 4));
+        let p = Arc::new(CommitPipeline::new(16, Duration::from_millis(5), 0));
         let metrics = Arc::new(DbMetrics::new());
         let mut handles = Vec::new();
         for t in 0..4u8 {

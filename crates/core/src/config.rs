@@ -28,7 +28,7 @@ pub enum IsolationLevel {
 }
 
 impl IsolationLevel {
-    /// Short name used in experiment output.
+    /// Short name, as printed by `Display`.
     pub fn name(self) -> &'static str {
         match self {
             IsolationLevel::ReadCommitted => "read-committed",
@@ -94,26 +94,6 @@ pub struct DbConfig {
     /// and are covered by the next leader's single sync. A small positive
     /// delay trades commit latency for larger batches (fewer fsyncs).
     pub group_commit_max_delay: Duration,
-    /// Size of the stage-C store-apply shard lock table. Each commit's
-    /// flush-through acquires only the shards its ops touch (node pages +
-    /// relationship chains), so commits with disjoint footprints apply to
-    /// the persistent store concurrently. `1` restores the old behaviour
-    /// of one global store-apply lock.
-    pub store_apply_shards: usize,
-    /// Whether the query planner may push property predicates (equality
-    /// and range forms) into the versioned property index as
-    /// postings/range-postings scans. `false` forces every property
-    /// predicate onto the decode-filter path — the baseline the E14
-    /// experiment measures pushdown against. Overridable per query with
-    /// [`crate::QueryBuilder::pushdown`].
-    pub predicate_pushdown: bool,
-    /// Whether the query planner may compile two or more pushdown-able
-    /// property predicates into a sorted-posting merge-intersect (driver
-    /// range cursor ∩ pre-drained leg build sides) instead of one index
-    /// scan followed by decode-filter stages. Requires
-    /// [`DbConfig::predicate_pushdown`] to matter. Overridable per query
-    /// with [`crate::QueryBuilder::intersect`].
-    pub predicate_intersection: bool,
 }
 
 impl Default for DbConfig {
@@ -131,9 +111,6 @@ impl Default for DbConfig {
             scan_chunk_size: DbConfig::DEFAULT_SCAN_CHUNK_SIZE,
             group_commit_max_batch: DbConfig::DEFAULT_GROUP_COMMIT_MAX_BATCH,
             group_commit_max_delay: Duration::ZERO,
-            store_apply_shards: DbConfig::DEFAULT_STORE_APPLY_SHARDS,
-            predicate_pushdown: true,
-            predicate_intersection: true,
         }
     }
 }
@@ -144,9 +121,6 @@ impl DbConfig {
 
     /// Default [`DbConfig::group_commit_max_batch`].
     pub const DEFAULT_GROUP_COMMIT_MAX_BATCH: usize = 64;
-
-    /// Default [`DbConfig::store_apply_shards`].
-    pub const DEFAULT_STORE_APPLY_SHARDS: usize = 64;
 
     /// Default [`DbConfig::wal_segment_bytes`] (16 MiB).
     pub const DEFAULT_WAL_SEGMENT_BYTES: u64 = 16 * 1024 * 1024;
@@ -227,13 +201,6 @@ impl DbConfig {
         self
     }
 
-    /// Builder-style setter for the stage-C store-apply shard count
-    /// (clamped to at least 1; 1 = one global store-apply lock).
-    pub fn with_store_apply_shards(mut self, shards: usize) -> Self {
-        self.store_apply_shards = shards.max(1);
-        self
-    }
-
     /// Builder-style setter for fault-in page-checksum verification.
     pub fn with_verify_pages_on_read(mut self, enabled: bool) -> Self {
         self.verify_pages_on_read = enabled;
@@ -246,19 +213,6 @@ impl DbConfig {
     /// injected page faults on disk without a checkpoint.
     pub fn with_cache_pages_per_store(mut self, pages: usize) -> Self {
         self.cache_pages_per_store = pages.max(1);
-        self
-    }
-
-    /// Builder-style setter for query-planner predicate pushdown.
-    pub fn with_predicate_pushdown(mut self, enabled: bool) -> Self {
-        self.predicate_pushdown = enabled;
-        self
-    }
-
-    /// Builder-style setter for query-planner multi-predicate
-    /// intersection.
-    pub fn with_predicate_intersection(mut self, enabled: bool) -> Self {
-        self.predicate_intersection = enabled;
         self
     }
 }
@@ -309,26 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn store_apply_shard_builders() {
-        let config = DbConfig::default();
-        assert_eq!(
-            config.store_apply_shards,
-            DbConfig::DEFAULT_STORE_APPLY_SHARDS
-        );
-        assert_eq!(
-            config.with_store_apply_shards(0).store_apply_shards,
-            1,
-            "clamped to at least 1"
-        );
-        assert_eq!(
-            DbConfig::default()
-                .with_store_apply_shards(128)
-                .store_apply_shards,
-            128
-        );
-    }
-
-    #[test]
     fn wal_segment_builders() {
         let config = DbConfig::default();
         assert_eq!(
@@ -345,26 +279,6 @@ mod tests {
                 .with_wal_segment_bytes(1 << 20)
                 .wal_segment_bytes,
             1 << 20
-        );
-    }
-
-    #[test]
-    fn predicate_pushdown_defaults_on() {
-        assert!(DbConfig::default().predicate_pushdown);
-        assert!(
-            !DbConfig::default()
-                .with_predicate_pushdown(false)
-                .predicate_pushdown
-        );
-    }
-
-    #[test]
-    fn predicate_intersection_defaults_on() {
-        assert!(DbConfig::default().predicate_intersection);
-        assert!(
-            !DbConfig::default()
-                .with_predicate_intersection(false)
-                .predicate_intersection
         );
     }
 

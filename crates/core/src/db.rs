@@ -33,7 +33,7 @@ use graphsi_wal::{
 
 use crate::commit::{self, apply_to_store, CommitOp, CommitRecord};
 use crate::commit_pipeline::CommitPipeline;
-use crate::config::{DbConfig, IsolationLevel};
+use crate::config::DbConfig;
 use crate::entity::{NodeData, RelationshipData};
 use crate::error::{DbError, Result};
 use crate::lock_rank;
@@ -170,7 +170,6 @@ impl GraphDb {
                 config.group_commit_max_batch,
                 config.group_commit_max_delay,
                 wal.durable_lsn(),
-                config.store_apply_shards,
             ),
             checkpoint_lock: Mutex::with_rank((), lock_rank::CHECKPOINT, "core.checkpoint"),
             txn_counter: AtomicU64::new(1),
@@ -221,15 +220,6 @@ impl GraphDb {
     /// level.
     pub fn begin(&self) -> Transaction {
         self.txn().begin()
-    }
-
-    /// Begins a transaction at an explicit isolation level.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the builder: `db.txn().isolation(..).begin()`"
-    )]
-    pub fn begin_with_isolation(&self, isolation: IsolationLevel) -> Transaction {
-        self.txn().isolation(isolation).begin()
     }
 
     /// Runs `f` inside a read-only snapshot transaction and returns its
@@ -375,7 +365,8 @@ impl GraphDb {
     }
 
     /// Runs the vacuum-style baseline garbage collector (visits every
-    /// cached chain). Used by experiment E6 for comparison.
+    /// cached chain), kept as the baseline the threaded collector is
+    /// compared against.
     pub fn run_gc_vacuum(&self) -> GcSummary {
         self.inner.run_gc_with(GcStrategy::Vacuum)
     }

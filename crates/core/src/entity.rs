@@ -4,8 +4,7 @@
 //! The cache stores token-based, immutable snapshots ([`NodeData`],
 //! [`RelationshipData`]) wrapped in `Arc` so that many transactions can
 //! share one version. The public [`Node`] / [`Relationship`] views resolve
-//! tokens back to names for ergonomic use in applications, examples and
-//! experiments.
+//! tokens back to names for ergonomic use in applications and examples.
 
 use std::collections::BTreeMap;
 

@@ -1,5 +1,5 @@
-//! Database-level metrics, used by the experiments and exposed through
-//! [`crate::db::GraphDb::metrics`].
+//! Database-level metrics, exposed through
+//! [`crate::db::GraphDb::metrics`] and the server's `METRICS` frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,7 +96,7 @@ pub struct DbMetricsSnapshot {
     pub store_apply_shard_conflicts: u64,
     /// Largest number of commits simultaneously inside their stage-C store
     /// flush-through. Above 1 proves disjoint-footprint commits really
-    /// applied to the persistent store concurrently (E13).
+    /// applied to the persistent store concurrently.
     pub store_apply_concurrency_peak: u64,
     /// Abort (invalidation) records appended to the WAL for commits failed
     /// after their record reached the log — each one is a transaction that
@@ -113,9 +113,8 @@ pub struct DbMetricsSnapshot {
     /// path a filtered scan ran.
     pub decode_filter_fallbacks: u64,
     /// Per-candidate property materialisations performed by decode-based
-    /// filter stages. The E14 acceptance gauge: a pushed-down predicate
-    /// performs none of these, a decode fallback pays one per candidate
-    /// scanned.
+    /// filter stages. A pushed-down predicate performs none of these, a
+    /// decode fallback pays one per candidate scanned.
     pub property_decodes: u64,
     /// Queries whose `order_by`/`top_k` the planner served straight off
     /// the index's sorted key walk — no sort buffer was allocated. A query
@@ -389,7 +388,7 @@ impl DbMetrics {
     }
 
     /// Records one property predicate compiled to an index source.
-    pub(crate) fn record_predicate_pushdown(&self) {
+    pub(crate) fn record_pushdown(&self) {
         self.predicate_pushdowns.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -548,7 +547,7 @@ mod tests {
         m.record_store_apply_concurrency(3);
         m.record_store_apply_concurrency(1);
         m.record_wal_abort();
-        m.record_predicate_pushdown();
+        m.record_pushdown();
         m.record_decode_filter_fallback();
         m.record_decode_filter_fallback();
         m.record_property_decode();

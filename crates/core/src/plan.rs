@@ -540,18 +540,18 @@ pub(crate) fn plan<'tx>(
     // ---- Metrics: which path did each predicate compile to? ------------
     match &source {
         SourcePlan::PropertyEq(name, _) if key_known(name) => {
-            db.metrics.record_predicate_pushdown();
+            db.metrics.record_pushdown();
         }
         SourcePlan::IndexRange { pred, .. } if !pred.is_unbounded() => {
-            db.metrics.record_predicate_pushdown();
+            db.metrics.record_pushdown();
         }
         SourcePlan::Intersection { driver, legs, .. } => {
             db.metrics.record_intersection_pushdown();
             if !driver.is_unbounded() {
-                db.metrics.record_predicate_pushdown();
+                db.metrics.record_pushdown();
             }
             for _ in legs {
-                db.metrics.record_predicate_pushdown();
+                db.metrics.record_pushdown();
             }
         }
         _ => {}

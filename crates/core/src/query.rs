@@ -29,12 +29,10 @@
 //! which path each query compiled to, and `property_decodes` counts the
 //! per-candidate decode work the fallbacks paid. Pushdown and
 //! intersection can be disabled per query ([`QueryBuilder::pushdown`],
-//! [`QueryBuilder::intersect`]) or database-wide
-//! ([`crate::DbConfig::predicate_pushdown`],
-//! [`crate::DbConfig::predicate_intersection`]).
+//! [`QueryBuilder::intersect`]), which equivalence tests use to run the
+//! decode path as their reference.
 
 use std::collections::HashSet;
-use std::ops::Bound;
 
 use graphsi_storage::{
     NodeId, PropertyKeyToken, PropertyValue, RelTypeToken, RelationshipId, ValueKey,
@@ -58,12 +56,12 @@ pub struct QueryBuilder<'tx> {
     /// Property names the row terminals decode per result row (resolved
     /// to tokens once, at compile time).
     projection: Option<Vec<String>>,
-    /// Per-query planner override; `None` = the database default
-    /// ([`crate::DbConfig::predicate_pushdown`]).
-    pushdown: Option<bool>,
-    /// Per-query intersection override; `None` = the database default
-    /// ([`crate::DbConfig::predicate_intersection`]).
-    intersect: Option<bool>,
+    /// Whether the planner may push property predicates into the index
+    /// (see [`QueryBuilder::pushdown`]).
+    pushdown: bool,
+    /// Whether the planner may intersect pushed predicates (see
+    /// [`QueryBuilder::intersect`]).
+    intersect: bool,
     /// Requested output ordering (`order_by`/`top_k`; the last call wins).
     order: Option<OrderSpec>,
     /// Set when the builder was composed illegally (a source after
@@ -81,8 +79,8 @@ impl<'tx> QueryBuilder<'tx> {
             stages: Vec::new(),
             chunk_size: None,
             projection: None,
-            pushdown: None,
-            intersect: None,
+            pushdown: true,
+            intersect: true,
             order: None,
             compose_error: None,
         }
@@ -160,27 +158,6 @@ impl<'tx> QueryBuilder<'tx> {
         }
         self.stages.push(Stage::Range(pred));
         self
-    }
-
-    /// Comparison form of [`QueryBuilder::nodes_with_property`]:
-    /// `name >= value`.
-    pub fn nodes_with_property_ge(self, name: &str, value: PropertyValue) -> Self {
-        self.filter_property_range(name, value..)
-    }
-
-    /// Comparison form: `name > value`.
-    pub fn nodes_with_property_gt(self, name: &str, value: PropertyValue) -> Self {
-        self.filter_property_range(name, (Bound::Excluded(value), Bound::Unbounded))
-    }
-
-    /// Comparison form: `name <= value`.
-    pub fn nodes_with_property_le(self, name: &str, value: PropertyValue) -> Self {
-        self.filter_property_range(name, ..=value)
-    }
-
-    /// Comparison form: `name < value`.
-    pub fn nodes_with_property_lt(self, name: &str, value: PropertyValue) -> Self {
-        self.filter_property_range(name, ..value)
     }
 
     /// Starts from every node visible to the transaction (the default
@@ -331,12 +308,11 @@ impl<'tx> QueryBuilder<'tx> {
         self
     }
 
-    /// Per-query override for multi-predicate intersection: `false`
-    /// forces conjunctions onto the single-pushdown + decode-filter path
-    /// (the E17 baseline), `true` re-enables it when the database default
-    /// ([`crate::DbConfig::predicate_intersection`]) disabled it.
+    /// Whether conjunctions may compile to a sorted-posting intersection
+    /// (default `true`). `false` forces them onto the single-pushdown +
+    /// decode-filter path: the reference path for equivalence tests.
     pub fn intersect(mut self, enabled: bool) -> Self {
-        self.intersect = Some(enabled);
+        self.intersect = enabled;
         self
     }
 
@@ -359,12 +335,11 @@ impl<'tx> QueryBuilder<'tx> {
         self
     }
 
-    /// Per-query planner override: `false` forces every property predicate
-    /// onto the decode-filter path, `true` re-enables pushdown when the
-    /// database default ([`crate::DbConfig::predicate_pushdown`]) disabled
-    /// it. The E14 experiment drives both paths through this switch.
+    /// Whether property predicates may be pushed into the versioned index
+    /// (default `true`). `false` forces every property predicate onto the
+    /// decode-filter path: the reference path for equivalence tests.
     pub fn pushdown(mut self, enabled: bool) -> Self {
-        self.pushdown = Some(enabled);
+        self.pushdown = enabled;
         self
     }
 
@@ -378,8 +353,6 @@ impl<'tx> QueryBuilder<'tx> {
         let tx = self.tx;
         let db = tx.db();
         let chunk = self.chunk_size.unwrap_or(tx.scan_chunk_size());
-        let pushdown = self.pushdown.unwrap_or(db.config.predicate_pushdown);
-        let intersect = self.intersect.unwrap_or(db.config.predicate_intersection);
         let has_node_writes = tx.write_set_ref().is_some_and(|ws| !ws.nodes.is_empty());
 
         // Projection names resolve to tokens exactly once.
@@ -399,8 +372,8 @@ impl<'tx> QueryBuilder<'tx> {
             self.source,
             self.stages,
             self.order,
-            pushdown,
-            intersect,
+            self.pushdown,
+            self.intersect,
             has_node_writes,
         )?;
         if matches!(plan.source, SourcePlan::Empty) {
@@ -1120,6 +1093,8 @@ impl Iterator for SortFallbackIter<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Bound;
+
     use crate::config::DbConfig;
     use crate::db::GraphDb;
     use crate::entity::Direction;
@@ -1294,25 +1269,28 @@ mod tests {
 
         let ge = tx
             .query()
-            .nodes_with_property_ge("age", PropertyValue::Int(35))
+            .filter_property_range("age", PropertyValue::Int(35)..)
             .count()
             .unwrap();
         assert_eq!(ge, 3); // 35, 40, 45
         let gt = tx
             .query()
-            .nodes_with_property_gt("age", PropertyValue::Int(35))
+            .filter_property_range(
+                "age",
+                (Bound::Excluded(PropertyValue::Int(35)), Bound::Unbounded),
+            )
             .count()
             .unwrap();
         assert_eq!(gt, 2);
         let le = tx
             .query()
-            .nodes_with_property_le("age", PropertyValue::Int(25))
+            .filter_property_range("age", ..=PropertyValue::Int(25))
             .count()
             .unwrap();
         assert_eq!(le, 2); // 20, 25
         let lt = tx
             .query()
-            .nodes_with_property_lt("age", PropertyValue::Int(25))
+            .filter_property_range("age", ..PropertyValue::Int(25))
             .ids()
             .unwrap();
         assert_eq!(lt, vec![people[0]]);

@@ -147,8 +147,8 @@ pub fn friends_of_friends(tx: &Transaction, start: NodeId) -> Result<Vec<NodeId>
     // collected — it is exactly the frontier. The second hop streams
     // through the query pipeline; re-reading the frontier as a start set
     // re-checks each friend's visibility, which is where read committed
-    // exhibits the anomaly experiment E1 counts (a friend observed in step
-    // one may have vanished by step two).
+    // exhibits an unrepeatable read (a friend observed in step one may
+    // have vanished by step two).
     let first_hop = tx
         .query()
         .start_nodes([start])
@@ -175,8 +175,7 @@ pub fn friends_of_friends(tx: &Transaction, start: NodeId) -> Result<Vec<NodeId>
 
 /// Walks the path `start -> ... -> end` twice and reports whether both
 /// walks observed the same sequence of neighbour sets. Returns
-/// `(consistent, first_walk, second_walk)`. Used by the unrepeatable-read
-/// probe (experiment E1).
+/// `(consistent, first_walk, second_walk)`: an unrepeatable-read probe.
 pub fn double_walk(
     tx: &Transaction,
     start: NodeId,

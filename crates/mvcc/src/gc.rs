@@ -1,7 +1,6 @@
 //! Garbage collection of obsolete versions.
 //!
-//! Two strategies are implemented so that experiment **E6** can compare
-//! them:
+//! Two strategies are implemented so that they can be compared:
 //!
 //! * [`run_threaded`] — the paper's approach: walk the global doubly linked
 //!   GC list from its oldest end and stop at the watermark, so the run only

@@ -16,7 +16,7 @@
 //! - [`Server`] — accept loop, per-connection threads, bounded
 //!   read/write worker pools, idle-session sweeper.
 //! - [`Client`] — a minimal blocking client, used by the tests, the
-//!   example and the saturation experiment.
+//!   example and the benchmark's `wire_mix` workload.
 //! - [`ServerMetrics`] — saturation counters (`sessions_active`,
 //!   `rejected_overload`, queue-depth peak, log2 latency histogram)
 //!   exposed together with the database counters via the `METRICS`

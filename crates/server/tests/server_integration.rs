@@ -258,17 +258,20 @@ fn full_admission_queue_sheds_with_typed_overloaded() {
     // Two workers-worth of sleep: one executing, one in the queue slot.
     // Staggered so the first is already executing (not still queued)
     // when the second arrives; retried because the pair can still race
-    // the worker's dequeue.
+    // the worker's dequeue. Each returns how many OVERLOADED replies it
+    // received.
     let busy: Vec<_> = (0..2)
         .map(|i| {
             let addr = server.local_addr().to_string();
             std::thread::spawn(move || {
                 let mut c = Client::connect(&addr).unwrap();
                 std::thread::sleep(Duration::from_millis(100 * i));
+                let mut overloaded = 0u64;
                 loop {
                     match c.sleep(1200) {
-                        Ok(()) => break,
+                        Ok(()) => break overloaded,
                         Err(e) if e.is_overloaded() => {
+                            overloaded += 1;
                             std::thread::sleep(Duration::from_millis(25));
                         }
                         Err(e) => panic!("busy client failed: {e:?}"),
@@ -291,13 +294,13 @@ fn full_admission_queue_sheds_with_typed_overloaded() {
     assert!(c.health().unwrap().starts_with("ok"));
 
     // Once the sleeps drain, the same session's writes go through again.
-    for t in busy {
-        t.join().unwrap();
-    }
+    let overloaded_replies = 1 + busy.into_iter().map(|t| t.join().unwrap()).sum::<u64>();
     c.create_node(&["X"], &[]).unwrap();
 
+    // Every shed request is counted once and reached its client as a
+    // typed OVERLOADED reply.
     let m = server.metrics();
-    assert!(m.rejected_overload >= 1);
+    assert_eq!(m.rejected_overload, overloaded_replies);
     assert!(m.queue_depth_peak >= 1);
     server.shutdown();
 }

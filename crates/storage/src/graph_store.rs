@@ -119,8 +119,8 @@ pub struct StoredRelationship {
     pub commit_ts: u64,
 }
 
-/// Aggregate counters across all record stores, used by experiment E7
-/// (write amplification / store size).
+/// Aggregate counters across all record stores (write amplification,
+/// store size).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GraphStoreStats {
     /// Page-cache counters of the node store.
@@ -763,7 +763,7 @@ impl GraphStore {
         Ok(flushed)
     }
 
-    /// Aggregate counters for the storage experiments.
+    /// Aggregate counters across all record stores.
     pub fn stats(&self) -> GraphStoreStats {
         GraphStoreStats {
             nodes: self.nodes.cache_stats(),

@@ -30,8 +30,8 @@ use parking_lot::Mutex;
 use crate::error::{Result, StorageError};
 use crate::pages::{Page, PageVerdict, PAGE_SIZE};
 
-/// Counters describing page-cache behaviour, useful for the storage
-/// experiments (E7) and for tuning.
+/// Counters describing page-cache behaviour, useful for the benchmark's
+/// storage metrics and for tuning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageCacheStats {
     /// Page requests satisfied from memory.

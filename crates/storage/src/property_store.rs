@@ -193,7 +193,7 @@ impl PropertyStore {
     }
 
     /// Number of in-use property records (walks the store; intended for
-    /// tests and the storage experiments, not hot paths).
+    /// tests, not hot paths).
     pub fn count_in_use(&self) -> usize {
         self.records.scan().count()
     }

@@ -5,8 +5,7 @@
 //! to update the data item and first-committer-wins that rollbacks the
 //! conflicting transaction that does not commit first."* The implementation
 //! described in §4 uses **first-updater-wins**, by repurposing the long
-//! write locks. Both strategies are implemented here so experiment E4 can
-//! compare them.
+//! write locks. Both strategies are implemented here.
 
 use crate::error::{Result, TxnError};
 use crate::ids::{Timestamp, TxnId};
@@ -28,7 +27,7 @@ pub enum ConflictStrategy {
 }
 
 impl ConflictStrategy {
-    /// Human readable name used in experiment output.
+    /// Human readable name, as printed by `Display`.
     pub fn name(self) -> &'static str {
         match self {
             ConflictStrategy::FirstUpdaterWins => "first-updater-wins",
@@ -60,7 +59,7 @@ pub enum UpdateCheck {
 /// * Under first-committer-wins the lock is also taken (to serialise
 ///   installation) but a conflict simply means waiting is allowed; the real
 ///   check happens at commit time via [`check_at_commit`]. To keep the
-///   experiment comparable we still take the lock non-blocking but do *not*
+///   two strategies comparable we still take the lock non-blocking but do *not*
 ///   abort if the holder committed before us — instead the commit-time
 ///   check decides.
 ///

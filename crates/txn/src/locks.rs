@@ -129,8 +129,8 @@ impl LockState {
     }
 }
 
-/// Counters describing lock-manager behaviour, used by experiment E8
-/// (reader/writer blocking under RC vs SI).
+/// Counters describing lock-manager behaviour (reader/writer blocking
+/// under RC vs SI).
 #[derive(Debug, Default)]
 pub struct LockStats {
     shared_acquired: AtomicU64,

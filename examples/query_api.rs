@@ -98,7 +98,7 @@ fn main() -> Result<()> {
     // decoded once per row at the last stage.
     let rows = tx
         .query()
-        .nodes_with_property_ge("age", PropertyValue::Int(55))
+        .filter_property_range("age", PropertyValue::Int(55)..)
         .expand(Direction::Outgoing, Some("LIVES_IN"))
         .project(["name"])
         .rows()?;

@@ -242,6 +242,55 @@ fn write_skew_is_admitted_under_snapshot_isolation() {
     );
 }
 
+/// Materialising the constraint removes the write skew: when both
+/// withdrawals also write a shared guard node their write sets overlap,
+/// so the second one is a write-write conflict and the constraint holds.
+#[test]
+fn write_skew_vanishes_when_both_write_a_shared_guard() {
+    let dir = TempDir::new("anom_write_skew_guarded");
+    let db = open(&dir);
+    let mut tx = db.begin();
+    let a = tx
+        .create_node(&["Account"], &[("balance", PropertyValue::Int(50))])
+        .unwrap();
+    let b = tx
+        .create_node(&["Account"], &[("balance", PropertyValue::Int(50))])
+        .unwrap();
+    let guard = tx
+        .create_node(&["Guard"], &[("version", PropertyValue::Int(0))])
+        .unwrap();
+    tx.commit().unwrap();
+
+    let read_balance = |txn: &graphsi_core::Transaction, id| -> i64 {
+        txn.node_property(id, "balance")
+            .unwrap()
+            .unwrap()
+            .as_int()
+            .unwrap()
+    };
+
+    let mut t1 = db.begin();
+    let mut t2 = db.begin();
+    assert!(read_balance(&t1, a) + read_balance(&t1, b) - 80 >= 0);
+    assert!(read_balance(&t2, a) + read_balance(&t2, b) - 80 >= 0);
+    t1.set_node_property(a, "balance", PropertyValue::Int(50 - 80))
+        .unwrap();
+    t1.set_node_property(guard, "version", PropertyValue::Int(1))
+        .unwrap();
+    t1.commit().expect("t1 commits");
+    t2.set_node_property(b, "balance", PropertyValue::Int(50 - 80))
+        .unwrap();
+    assert!(t2
+        .set_node_property(guard, "version", PropertyValue::Int(2))
+        .unwrap_err()
+        .is_conflict());
+    drop(t2);
+
+    let check = db.begin();
+    let total = read_balance(&check, a) + read_balance(&check, b);
+    assert_eq!(total, 50 - 80 + 50, "only t1's withdrawal took effect");
+}
+
 /// The same workload with both withdrawals hitting the same account is a
 /// write-write conflict and is prevented by first-updater-wins.
 #[test]

@@ -126,7 +126,7 @@ fn threaded_and_vacuum_gc_reclaim_equivalently() {
         db_b.node_cache_stats().versions
     );
     // The threaded run never examines more versions than the vacuum run —
-    // this is the efficiency claim of the paper (E6).
+    // this is the efficiency claim of the paper.
     assert!(threaded.versions_examined <= vacuum.versions_examined);
 }
 

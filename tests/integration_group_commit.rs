@@ -31,7 +31,7 @@ fn worker_nodes(db: &GraphDb, threads: usize) -> Vec<NodeId> {
     nodes
 }
 
-/// Acceptance criterion: under a multi-threaded write workload the WAL
+/// Acceptance check: under a multi-threaded write workload the WAL
 /// sync count stays *strictly below* the committed-transaction count —
 /// the proof that one leader fsync covers a whole batch of committers.
 #[test]
@@ -140,7 +140,7 @@ fn batch_size_is_not_inflated_after_recovery() {
     );
 }
 
-/// Acceptance criterion: `visible_ts` publication is gap-free in
+/// Acceptance check: `visible_ts` publication is gap-free in
 /// commit-ts order. Writers record every acknowledged commit; concurrent
 /// readers assert that *every* recorded commit at or below their snapshot
 /// is visible — if commit N+1 ever published without commit N, a reader

@@ -23,7 +23,6 @@ fn sharded_config() -> DbConfig {
         .with_sync_policy(SyncPolicy::OnDemand)
         .with_group_commit_max_batch(16)
         .with_group_commit_max_delay(Duration::from_millis(2))
-        .with_store_apply_shards(64)
 }
 
 /// One action of a writer's workload, confined to that writer's private
@@ -308,7 +307,7 @@ fn overlapping_commits_race_checkpoints_and_recovery_replay() {
     }
 }
 
-/// The scalability witness behind E13: on disjoint keyspaces the sharded
+/// The scalability witness: on disjoint keyspaces the sharded
 /// apply really overlaps — more than one commit is inside its store
 /// flush-through at the same time — where the single-lock stage C pinned
 /// the peak at exactly 1.
@@ -387,50 +386,4 @@ fn disjoint_commits_overlap_inside_store_apply() {
         );
     }
     panic!("disjoint-footprint commits never overlapped in stage C");
-}
-
-/// `store_apply_shards = 1` is the old single-lock stage C: everything
-/// still works, and the concurrency peak proves the lock is global.
-#[test]
-fn single_shard_config_serialises_the_apply() {
-    const THREADS: usize = 4;
-    let dir = TempDir::new("shard_single");
-    let db = GraphDb::open(dir.path(), sharded_config().with_store_apply_shards(1)).unwrap();
-    let mut tx = db.begin();
-    let nodes: Vec<NodeId> = (0..THREADS)
-        .map(|_| {
-            tx.create_node(&["W"], &[("v", PropertyValue::Int(0))])
-                .unwrap()
-        })
-        .collect();
-    tx.commit().unwrap();
-    let handles: Vec<_> = nodes
-        .iter()
-        .map(|&node| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                for i in 0..50 {
-                    let mut tx = db.begin();
-                    tx.set_node_property(node, "v", PropertyValue::Int(i))
-                        .unwrap();
-                    tx.commit().unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let m = db.metrics();
-    assert_eq!(
-        m.store_apply_concurrency_peak, 1,
-        "one shard = one global store-apply lock"
-    );
-    let tx = db.txn().read_only().begin();
-    for node in nodes {
-        assert_eq!(
-            tx.node_property(node, "v").unwrap(),
-            Some(PropertyValue::Int(49))
-        );
-    }
 }

@@ -305,19 +305,6 @@ fn conflicting_writers_both_commit_through_jittered_retries() {
     );
 }
 
-/// The deprecated `begin_with_isolation` shim still works and delegates
-/// to the builder.
-#[test]
-#[allow(deprecated)]
-fn deprecated_begin_with_isolation_still_works() {
-    let dir = TempDir::new("threads_deprecated");
-    let db = GraphDb::open(dir.path(), DbConfig::default()).unwrap();
-    let tx = db.begin_with_isolation(IsolationLevel::ReadCommitted);
-    assert_eq!(tx.isolation(), IsolationLevel::ReadCommitted);
-    assert!(!tx.is_read_only());
-    drop(tx);
-}
-
 /// Lazy scans and expansions hold snapshot consistency across threads: an
 /// iterator created before concurrent commits only ever observes its own
 /// snapshot.
