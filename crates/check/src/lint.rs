@@ -10,7 +10,6 @@
 //! |------|---------|
 //! | `no-unwrap` | no `.unwrap()` / `.expect(` in non-test library code |
 //! | `no-guard-across-fsync` | no lock guard live across `sync_data` / `sync_all` / `sync_appended` |
-//! | `counter-list` | every `AtomicU64` metrics counter appears in its `for_each_*counter!` list |
 //! | `shard-lock-order` | shard-lock loops assert their footprint is sorted ascending |
 //!
 //! Findings carry `file:line` positions. Pre-existing sites are
@@ -27,8 +26,6 @@ pub enum Rule {
     NoUnwrap,
     /// A lock guard is live across an fsync-class call.
     NoGuardAcrossFsync,
-    /// A metrics counter field is missing from the counter list macro.
-    CounterList,
     /// A shard-lock acquisition loop without a sorted-footprint assert.
     ShardLockOrder,
 }
@@ -39,7 +36,6 @@ impl Rule {
         match self {
             Rule::NoUnwrap => "no-unwrap",
             Rule::NoGuardAcrossFsync => "no-guard-across-fsync",
-            Rule::CounterList => "counter-list",
             Rule::ShardLockOrder => "shard-lock-order",
         }
     }
@@ -49,17 +45,15 @@ impl Rule {
         match name {
             "no-unwrap" => Some(Rule::NoUnwrap),
             "no-guard-across-fsync" => Some(Rule::NoGuardAcrossFsync),
-            "counter-list" => Some(Rule::CounterList),
             "shard-lock-order" => Some(Rule::ShardLockOrder),
             _ => None,
         }
     }
 
     /// All rules, for reporting.
-    pub const ALL: [Rule; 4] = [
+    pub const ALL: [Rule; 3] = [
         Rule::NoUnwrap,
         Rule::NoGuardAcrossFsync,
-        Rule::CounterList,
         Rule::ShardLockOrder,
     ];
 }
@@ -373,62 +367,6 @@ fn scan_guard_across_fsync(file: &Path, code: &str, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// Rule: counter-list
-// ---------------------------------------------------------------------
-
-fn scan_counter_list(file: &Path, code: &str, out: &mut Vec<Finding>) {
-    // Only files that define a counter-list macro are checked.
-    let Some(macro_pos) = code
-        .find("macro_rules! for_each_counter")
-        .or_else(|| code.find("macro_rules! for_each_server_counter"))
-    else {
-        return;
-    };
-    // The list is the idents inside the inner `$m! { ... }` block.
-    let Some(open_rel) = code[macro_pos..].find("$m!") else {
-        return;
-    };
-    let list_start = macro_pos + open_rel;
-    let Some(brace_rel) = code[list_start..].find('{') else {
-        return;
-    };
-    let brace = list_start + brace_rel;
-    let Some(close_rel) = code[brace..].find('}') else {
-        return;
-    };
-    let listed: Vec<&str> = code[brace + 1..brace + close_rel]
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-
-    // Every `name: AtomicU64,` struct field must be in the list (array
-    // fields like `[AtomicU64; N]` have a different type text and are
-    // exempt — the histogram is encoded separately).
-    let mut search = 0;
-    while let Some(pos) = code[search..].find(": AtomicU64") {
-        let at = search + pos;
-        let field: String = code[..at]
-            .chars()
-            .rev()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-            .collect();
-        if !field.is_empty() && !listed.contains(&field.as_str()) {
-            out.push(Finding {
-                rule: Rule::CounterList,
-                file: file.to_path_buf(),
-                line: line_of(code, at),
-                message: format!("counter `{field}` missing from the for_each counter list"),
-            });
-        }
-        search = at + ": AtomicU64".len();
-    }
-}
-
-// ---------------------------------------------------------------------
 // Rule: shard-lock-order
 // ---------------------------------------------------------------------
 
@@ -475,7 +413,6 @@ pub fn scan_source(file: &Path, src: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     scan_no_unwrap(file, &masked, &mut out);
     scan_guard_across_fsync(file, &masked, &mut out);
-    scan_counter_list(file, &masked, &mut out);
     scan_shard_lock_order(file, &masked, &mut out);
     out.sort_by_key(|a| (a.line, a.rule));
     out

@@ -131,67 +131,6 @@ fn flush(file: &std::fs::File, m: &Mutex<u32>) {
 }
 
 // -----------------------------------------------------------------
-// counter-list
-// -----------------------------------------------------------------
-
-#[test]
-fn counter_list_fires_on_missing_counter() {
-    let src = r#"
-pub struct Metrics {
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
-}
-
-macro_rules! for_each_counter {
-    ($m:ident) => {
-        $m! { commits }
-    };
-}
-"#;
-    let findings = findings_for(src);
-    let hits: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::CounterList)
-        .collect();
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(hits[0].message.contains("aborts"), "{}", hits[0].message);
-}
-
-#[test]
-fn counter_list_quiet_when_complete() {
-    let src = r#"
-pub struct Metrics {
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
-}
-
-macro_rules! for_each_counter {
-    ($m:ident) => {
-        $m! { commits, aborts }
-    };
-}
-"#;
-    assert!(rules_fired(src).is_empty(), "{:?}", findings_for(src));
-}
-
-#[test]
-fn counter_list_exempts_histogram_arrays() {
-    let src = r#"
-pub struct Metrics {
-    pub commits: AtomicU64,
-    pub latency_us: [AtomicU64; 28],
-}
-
-macro_rules! for_each_server_counter {
-    ($m:ident) => {
-        $m! { commits }
-    };
-}
-"#;
-    assert!(rules_fired(src).is_empty(), "{:?}", findings_for(src));
-}
-
-// -----------------------------------------------------------------
 // shard-lock-order
 // -----------------------------------------------------------------
 

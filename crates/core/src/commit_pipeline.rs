@@ -368,7 +368,7 @@ impl CommitPipeline {
                                 .append(&AbortRangeRecord { from_lsn, to_lsn }.encode())
                                 .is_ok()
                             {
-                                metrics.record_wal_abort();
+                                metrics.wal_abort_records.add(1);
                             }
                             state.aborted.push(AbortedRange {
                                 from_lsn,
@@ -424,13 +424,13 @@ impl CommitPipeline {
             match lock.try_lock() {
                 Some(guard) => guards.push(guard),
                 None => {
-                    metrics.record_store_apply_conflict();
+                    metrics.store_apply_shard_conflicts.add(1);
                     guards.push(lock.lock());
                 }
             }
         }
         let in_flight = self.store_apply_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        metrics.record_store_apply_concurrency(in_flight);
+        metrics.store_apply_concurrency_peak.max(in_flight);
         StoreApplyGuard {
             pipeline: self,
             _guards: guards,

@@ -2,7 +2,7 @@
 //! machinery and the commit pipeline.
 //!
 //! [`GraphDb`] is a cheaply-cloneable *handle*: all state lives in a
-//! shared [`GraphDbInner`] behind an `Arc`, so handles can be cloned into
+//! shared `GraphDbInner` behind an `Arc`, so handles can be cloned into
 //! worker threads, server sessions and connection pools, and the
 //! transactions they start own a reference to the database (they are
 //! `Send + 'static` and may outlive the handle that created them).
@@ -306,7 +306,7 @@ impl GraphDb {
     ///    `begin_ts` has finished its store flush-through (or withdrawn).
     ///    Later commits are *not* waited for — they keep flowing.
     /// 3. The dirty page set is snapshotted once and flushed in chunks
-    ///    ([`CHECKPOINT_FLUSH_CHUNK`]); pages dirtied after the snapshot
+    ///    (`CHECKPOINT_FLUSH_CHUNK`); pages dirtied after the snapshot
     ///    belong to post-begin commits, which WAL replay covers, so the
     ///    flush terminates even under sustained writes.
     /// 4. `CheckpointEnd{epoch, stable_ts}` is appended and made durable.
@@ -481,7 +481,7 @@ impl GraphDbInner {
     pub(crate) fn register_transaction(&self) -> (TxnId, Timestamp) {
         let id = TxnId(self.txn_counter.fetch_add(1, Ordering::Relaxed));
         let start_ts = self.active.register_with(id, || self.visible_timestamp());
-        self.metrics.record_begin();
+        self.metrics.begins.add(1);
         (id, start_ts)
     }
 
@@ -525,7 +525,7 @@ impl GraphDbInner {
         from_cache: impl FnOnce(Arc<NodeData>, Timestamp) -> R,
         from_store: impl FnOnce(NodeRecord) -> Result<Option<R>>,
     ) -> Result<Option<R>> {
-        self.metrics.record_read();
+        self.metrics.reads.add(1);
         let record = || {
             let record = self.store.read_node_record(id)?;
             Ok(record.map(|r| (Timestamp(r.commit_ts), r)))
@@ -549,7 +549,7 @@ impl GraphDbInner {
         from_cache: impl FnOnce(Arc<RelationshipData>, Timestamp) -> R,
         from_store: impl FnOnce(RelationshipRecord) -> Result<Option<R>>,
     ) -> Result<Option<R>> {
-        self.metrics.record_read();
+        self.metrics.reads.add(1);
         let record = || {
             let record = self.store.read_relationship_record(id)?;
             Ok(record.map(|r| (Timestamp(r.commit_ts), r)))
@@ -777,7 +777,7 @@ impl GraphDbInner {
         if committed {
             self.metrics.record_commit(true);
         } else {
-            self.metrics.record_rollback();
+            self.metrics.rollbacks.add(1);
         }
     }
 
@@ -787,9 +787,9 @@ impl GraphDbInner {
         self.locks.release_all(txn);
         let _ = self.active.deregister(txn);
         if conflict {
-            self.metrics.record_conflict_abort();
+            self.metrics.conflict_aborts.add(1);
         } else {
-            self.metrics.record_rollback();
+            self.metrics.rollbacks.add(1);
         }
     }
 
@@ -992,7 +992,7 @@ impl GraphDbInner {
         }
         .encode();
         if let Ok(lsn) = self.wal.append(&payload) {
-            self.metrics.record_wal_abort();
+            self.metrics.wal_abort_records.add(1);
             let _ = self.pipeline.wait_durable(&self.wal, lsn, &self.metrics);
         }
     }

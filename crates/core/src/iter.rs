@@ -11,7 +11,7 @@
 //! concurrent commits and GC above the watermark are safe. (One scoped
 //! exception: the whole-graph scans' cache stage transiently stages one
 //! cache shard's key set at a time, bounded by the largest shard and
-//! tracked by the `shard_key_buffer_peak` metric — see [`ScanSource`].)
+//! tracked by the `shard_key_buffer_peak` metric — see `ScanSource`.)
 //! The paper's
 //! *enriched iterator* (§4) still happens here, but per element: every
 //! candidate is merged with the version cache overlay and the
@@ -92,11 +92,14 @@ impl<'tx> RelCandidateCursor<'tx> {
                 RelStage::Chain(cursor) => {
                     let result = cursor.next_chunk(&mut self.buf);
                     let restarts = cursor.restarts();
-                    self.tx
-                        .db()
-                        .metrics
-                        .record_cursor_restarts(restarts - self.restarts_reported);
-                    self.restarts_reported = restarts;
+                    if restarts > self.restarts_reported {
+                        self.tx
+                            .db()
+                            .metrics
+                            .cursor_restarts
+                            .add(restarts - self.restarts_reported);
+                        self.restarts_reported = restarts;
+                    }
                     if !result? {
                         self.stage = RelStage::Overlay { marker: None };
                         continue;
@@ -465,7 +468,7 @@ impl<C: SlotScanCursor> ScanSource<'_, C> {
             match buf.last() {
                 Some(&last) => {
                     self.shard_after = Some(last);
-                    tx.db().metrics.record_shard_page(buf.len());
+                    tx.db().metrics.shard_key_buffer_peak.max(buf.len() as u64);
                     return Ok(true);
                 }
                 None => {
@@ -972,7 +975,7 @@ impl<'tx> NodeIdIter<'tx> {
                             if builds.iter().all(|b| b.binary_search(&id).is_ok()) {
                                 return Some(Ok(id));
                             }
-                            self.tx.db().metrics.record_intersection_leg_skips(1);
+                            self.tx.db().metrics.intersection_leg_skips.add(1);
                         }
                     }
                 }
@@ -1013,7 +1016,7 @@ impl Iterator for NodeIdIter<'_> {
             // trailing check would never run.
             if self.topk && self.yielded >= budget && !self.base_done && !self.early_exit_recorded {
                 self.early_exit_recorded = true;
-                self.tx.db().metrics.record_topk_early_exit();
+                self.tx.db().metrics.topk_early_exits.add(1);
             }
         }
         item
@@ -1034,7 +1037,7 @@ impl std::fmt::Debug for NodeIdIter<'_> {
 
 /// Lazy, chunked iterator over every relationship ID visible to the
 /// transaction. Created by [`Transaction::all_relationships`]. Rides on
-/// the same three-stage [`ScanSource`] as the whole-graph node scan.
+/// the same three-stage `ScanSource` as the whole-graph node scan.
 pub struct RelIdIter<'tx> {
     tx: &'tx Transaction,
     source: ScanSource<'tx, RelScanCursor<'tx>>,

@@ -540,31 +540,29 @@ pub(crate) fn plan<'tx>(
     // ---- Metrics: which path did each predicate compile to? ------------
     match &source {
         SourcePlan::PropertyEq(name, _) if key_known(name) => {
-            db.metrics.record_pushdown();
+            db.metrics.predicate_pushdowns.add(1);
         }
         SourcePlan::IndexRange { pred, .. } if !pred.is_unbounded() => {
-            db.metrics.record_pushdown();
+            db.metrics.predicate_pushdowns.add(1);
         }
         SourcePlan::Intersection { driver, legs, .. } => {
-            db.metrics.record_intersection_pushdown();
+            db.metrics.intersection_pushdowns.add(1);
             if !driver.is_unbounded() {
-                db.metrics.record_pushdown();
+                db.metrics.predicate_pushdowns.add(1);
             }
-            for _ in legs {
-                db.metrics.record_pushdown();
-            }
+            db.metrics.predicate_pushdowns.add(legs.len() as u64);
         }
         _ => {}
     }
     if served {
-        db.metrics.record_ordered_index_stream();
+        db.metrics.ordered_index_streams.add(1);
     }
     for stage in &stages {
         if matches!(
             stage,
             Stage::Range(_) | Stage::RelRange(_) | Stage::FilterProperty(..)
         ) {
-            db.metrics.record_decode_filter_fallback();
+            db.metrics.decode_filter_fallbacks.add(1);
         }
     }
 

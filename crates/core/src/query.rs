@@ -16,7 +16,7 @@
 //! ## The planner
 //!
 //! Compilation hands the declarative parts of the pipeline to
-//! [`crate::plan`], which picks an explicit [`SourcePlan`]: a predicate at
+//! `crate::plan`, which picks an explicit `SourcePlan`: a predicate at
 //! the head of the pipeline compiles to a **versioned index source**
 //! (equality → posting scan, comparison → range-postings cursor); two or
 //! more pushdown-able predicates compile to a **sorted-posting
@@ -440,7 +440,7 @@ impl<'tx> QueryBuilder<'tx> {
                         upstream: it,
                         failed: false,
                         pred: Box::new(move |tx: &Transaction, id: NodeId| {
-                            tx.db().metrics.record_property_decode();
+                            tx.db().metrics.property_decodes.add(1);
                             Ok(tx
                                 .visible_node_property(id, token)?
                                 .flatten()
@@ -464,7 +464,7 @@ impl<'tx> QueryBuilder<'tx> {
                         upstream: it,
                         failed: false,
                         pred: Box::new(move |tx: &Transaction, id: NodeId| {
-                            tx.db().metrics.record_property_decode();
+                            tx.db().metrics.property_decodes.add(1);
                             Ok(tx
                                 .visible_node_property(id, token)?
                                 .flatten()
@@ -1004,7 +1004,7 @@ impl Iterator for RelFilterIter<'_> {
                 }
             };
             let Some(rid) = row.rel else { continue };
-            self.tx.db().metrics.record_property_decode();
+            self.tx.db().metrics.property_decodes.add(1);
             // visible_relationship folds in this transaction's own pending
             // writes, so read-your-own-writes holds here too.
             match self.tx.visible_relationship(rid) {
@@ -1062,7 +1062,7 @@ impl Iterator for SortFallbackIter<'_> {
                         return Some(Err(e));
                     }
                 };
-                self.tx.db().metrics.record_property_decode();
+                self.tx.db().metrics.property_decodes.add(1);
                 match self.tx.visible_node_property(row.node, self.token) {
                     Ok(Some(Some(v))) => buf.push((v.index_key(), row)),
                     Ok(_) => {}
@@ -1072,7 +1072,11 @@ impl Iterator for SortFallbackIter<'_> {
                     }
                 }
             }
-            self.tx.db().metrics.record_candidate_buffer(buf.len());
+            self.tx
+                .db()
+                .metrics
+                .candidate_buffer_peak
+                .max(buf.len() as u64);
             if self.descending {
                 buf.sort_by(|a, b| b.0.cmp(&a.0));
             } else {

@@ -962,7 +962,7 @@ impl Transaction {
         self.write_lock(LockKey::node(id.raw()), None)?;
         self.write_set_mut()?
             .create_node(id, NodeData::new(label_tokens, props));
-        self.db.metrics.record_write();
+        self.db.metrics.writes.add(1);
         Ok(id)
     }
 
@@ -978,7 +978,7 @@ impl Transaction {
                     let mut new = data.clone();
                     f(&mut new);
                     self.write_set_mut()?.update_node(id, None, new);
-                    self.db.metrics.record_write();
+                    self.db.metrics.writes.add(1);
                     return Ok(());
                 }
                 None => return Err(DbError::NodeNotFound(id)),
@@ -995,7 +995,7 @@ impl Transaction {
         f(&mut new);
         self.write_set_mut()?
             .update_node(id, Some((before, before_ts)), new);
-        self.db.metrics.record_write();
+        self.db.metrics.writes.add(1);
         Ok(())
     }
 
@@ -1054,7 +1054,7 @@ impl Transaction {
         }
         if exists_in_ws {
             self.write_set_mut()?.delete_node(id, None);
-            self.db.metrics.record_write();
+            self.db.metrics.writes.add(1);
             return Ok(());
         }
         self.write_lock(LockKey::node(id.raw()), None)?;
@@ -1064,7 +1064,7 @@ impl Transaction {
         };
         self.write_set_mut()?
             .delete_node(id, Some((before, before_ts)));
-        self.db.metrics.record_write();
+        self.db.metrics.writes.add(1);
         Ok(())
     }
 
@@ -1107,7 +1107,7 @@ impl Transaction {
         self.write_lock(LockKey::relationship(id.raw()), None)?;
         self.write_set_mut()?
             .create_relationship(id, RelationshipData::new(source, target, type_token, props));
-        self.db.metrics.record_write();
+        self.db.metrics.writes.add(1);
         Ok(id)
     }
 
@@ -1128,7 +1128,7 @@ impl Transaction {
                     let mut new = data.clone();
                     f(&mut new);
                     self.write_set_mut()?.update_relationship(id, None, new);
-                    self.db.metrics.record_write();
+                    self.db.metrics.writes.add(1);
                     return Ok(());
                 }
                 None => return Err(DbError::RelationshipNotFound(id)),
@@ -1143,7 +1143,7 @@ impl Transaction {
         f(&mut new);
         self.write_set_mut()?
             .update_relationship(id, Some((before, before_ts)), new);
-        self.db.metrics.record_write();
+        self.db.metrics.writes.add(1);
         Ok(())
     }
 
@@ -1179,7 +1179,7 @@ impl Transaction {
             match state {
                 Some(_) => {
                     self.write_set_mut()?.delete_relationship(id, None);
-                    self.db.metrics.record_write();
+                    self.db.metrics.writes.add(1);
                     return Ok(());
                 }
                 None => return Err(DbError::RelationshipNotFound(id)),
@@ -1197,7 +1197,7 @@ impl Transaction {
         }
         self.write_set_mut()?
             .delete_relationship(id, Some((before, before_ts)));
-        self.db.metrics.record_write();
+        self.db.metrics.writes.add(1);
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! The private write set of a transaction.
 //!
 //! "Versions of uncommitted data items should be kept private and not
-//! accessible to other transactions, but they should [be] read by the
+//! accessible to other transactions, but they should \[be\] read by the
 //! transaction that wrote them to guarantee that a transaction reads its
 //! own writes." (the paper, §3)
 //!

@@ -1,7 +1,7 @@
 //! The global garbage-collection list.
 //!
 //! "In order to make the version garbage collection efficient, they
-//! [versions] are threaded with a double linked list sorted by timestamp to
+//! \[versions\] are threaded with a double linked list sorted by timestamp to
 //! enable to perform the garbage collection just traversing those versions
 //! that must be garbage collected." (the paper, §4)
 //!

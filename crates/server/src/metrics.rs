@@ -2,146 +2,61 @@
 //!
 //! The database's own counters live in `graphsi_core::metrics`; this
 //! module tracks what only the server can see — session churn, admission
-//! rejections, queue depth and per-request latency. The `METRICS` command
-//! concatenates both: the database counters first (in
-//! `DbMetricsSnapshot::to_text` format, so the core's `from_text` parser
-//! round-trips on the combined dump and simply ignores the prefixed
-//! server lines), then one `server_*` line per counter here.
+//! rejections, queue depth and per-request latency. Both sets are
+//! declared with `graphsi_core::metric_set!`. The `METRICS` command
+//! concatenates them: the database counters first, then one `server_*`
+//! line per counter here. Each side's `from_text` skips the other's
+//! lines, so both round-trip on the combined dump.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use graphsi_core::metrics::HISTOGRAM_BUCKETS;
 
 /// Number of power-of-two latency buckets: bucket `i` counts requests
 /// whose latency in microseconds satisfies `2^i <= us < 2^(i+1)` (bucket
 /// 0 also absorbs sub-microsecond requests, the last bucket absorbs
 /// everything slower).
-pub const LATENCY_BUCKETS: usize = 28;
+pub const LATENCY_BUCKETS: usize = HISTOGRAM_BUCKETS;
 
-/// Shared, lock-free counters of one running server.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Currently connected sessions.
-    sessions_active: AtomicU64,
-    /// Sessions accepted since startup.
-    sessions_total: AtomicU64,
-    /// Connections rejected at accept time (session limit).
-    rejected_sessions: AtomicU64,
-    /// Requests executed (whether they succeeded or failed).
-    requests_total: AtomicU64,
-    /// Requests rejected with `OVERLOADED` (admission queue full).
-    rejected_overload: AtomicU64,
-    /// Transactions aborted by the idle-session sweeper.
-    idle_timeout_aborts: AtomicU64,
-    /// Transactions rolled back because the client disconnected mid-txn.
-    disconnect_rollbacks: AtomicU64,
-    /// High-water mark of queued-but-not-yet-executing requests.
-    queue_depth_peak: AtomicU64,
-    /// Log2 latency histogram over executed requests (µs).
-    latency_us: [AtomicU64; LATENCY_BUCKETS],
-}
-
-/// Applies a macro to every scalar counter of [`ServerMetricsSnapshot`],
-/// by name (the latency histogram is handled separately). Mirrors
-/// `for_each_counter!` in `graphsi_core::metrics`: both halves of the
-/// text codec expand from this single list, and the exhaustiveness guard
-/// below turns a field missing from the list into a compile error.
-macro_rules! for_each_server_counter {
-    ($m:ident) => {
-        $m! {
-            sessions_active,
-            sessions_total,
-            rejected_sessions,
-            requests_total,
-            rejected_overload,
-            idle_timeout_aborts,
-            disconnect_rollbacks,
-            queue_depth_peak
-        }
-    };
+graphsi_core::metric_set! {
+    /// Shared, lock-free counters of one running server.
+    pub struct ServerMetrics;
+    /// Point-in-time copy of [`ServerMetrics`].
+    pub struct ServerMetricsSnapshot;
+    prefix = "server_";
+    counters {
+        /// Currently connected sessions.
+        sessions_active,
+        /// Sessions accepted since startup.
+        sessions_total,
+        /// Connections rejected at accept time (session limit).
+        rejected_sessions,
+        /// Requests executed (whether they succeeded or failed).
+        requests_total,
+        /// Requests rejected with `OVERLOADED` (admission queue full).
+        rejected_overload,
+        /// Transactions aborted by the idle-session sweeper.
+        idle_timeout_aborts,
+        /// Transactions rolled back because the client disconnected mid-txn.
+        disconnect_rollbacks,
+        /// High-water mark of queued-but-not-yet-executing requests.
+        queue_depth_peak,
+    }
+    histograms {
+        /// Log2 latency histogram over executed requests (µs).
+        latency_us,
+    }
 }
 
 impl ServerMetrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub(crate) fn session_opened(&self) {
-        self.sessions_active.fetch_add(1, Ordering::Relaxed);
-        self.sessions_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn session_closed(&self) {
-        self.sessions_active.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected_session(&self) {
-        self.rejected_sessions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected_overload(&self) {
-        self.rejected_overload.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_idle_timeout_abort(&self) {
-        self.idle_timeout_aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_disconnect_rollback(&self) {
-        self.disconnect_rollbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        self.sessions_active.add(1);
+        self.sessions_total.add(1);
     }
 
     /// Records one executed request and its latency.
     pub(crate) fn record_request(&self, latency_us: u64) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
-        let bucket = (63 - latency_us.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.latency_us[bucket].fetch_add(1, Ordering::Relaxed);
+        self.requests_total.add(1);
+        self.latency_us.record(latency_us);
     }
-
-    /// Takes a point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ServerMetricsSnapshot {
-        let mut latency_us = [0u64; LATENCY_BUCKETS];
-        for (out, bucket) in latency_us.iter_mut().zip(&self.latency_us) {
-            *out = bucket.load(Ordering::Relaxed);
-        }
-        ServerMetricsSnapshot {
-            sessions_active: self.sessions_active.load(Ordering::Relaxed),
-            sessions_total: self.sessions_total.load(Ordering::Relaxed),
-            rejected_sessions: self.rejected_sessions.load(Ordering::Relaxed),
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            idle_timeout_aborts: self.idle_timeout_aborts.load(Ordering::Relaxed),
-            disconnect_rollbacks: self.disconnect_rollbacks.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            latency_us,
-        }
-    }
-}
-
-/// Point-in-time copy of [`ServerMetrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerMetricsSnapshot {
-    /// Currently connected sessions.
-    pub sessions_active: u64,
-    /// Sessions accepted since startup.
-    pub sessions_total: u64,
-    /// Connections rejected at accept time (session limit).
-    pub rejected_sessions: u64,
-    /// Requests executed (whether they succeeded or failed).
-    pub requests_total: u64,
-    /// Requests rejected with `OVERLOADED` (admission queue full).
-    pub rejected_overload: u64,
-    /// Transactions aborted by the idle-session sweeper.
-    pub idle_timeout_aborts: u64,
-    /// Transactions rolled back because the client disconnected mid-txn.
-    pub disconnect_rollbacks: u64,
-    /// High-water mark of queued-but-not-yet-executing requests.
-    pub queue_depth_peak: u64,
-    /// Log2 latency histogram over executed requests (µs).
-    pub latency_us: [u64; LATENCY_BUCKETS],
 }
 
 impl ServerMetricsSnapshot {
@@ -163,105 +78,12 @@ impl ServerMetricsSnapshot {
         }
         1u64 << LATENCY_BUCKETS
     }
-
-    /// Encodes the snapshot as `server_<name> <value>` lines, matching
-    /// the shape of `DbMetricsSnapshot::to_text`. Histogram buckets are
-    /// emitted as `server_latency_us_le_<upper>` cumulative counts.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let mut line = |name: &str, value: u64| {
-            out.push_str("server_");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&value.to_string());
-            out.push('\n');
-        };
-        macro_rules! emit {
-            ($($field:ident),*) => {
-                $(line(stringify!($field), self.$field);)*
-            };
-        }
-        for_each_server_counter!(emit);
-        let mut cumulative = 0u64;
-        for (i, count) in self.latency_us.iter().enumerate() {
-            cumulative += count;
-            line(&format!("latency_us_le_{}", 1u64 << (i + 1)), cumulative);
-        }
-        out
-    }
-
-    /// Parses the `server_*` lines produced by
-    /// [`ServerMetricsSnapshot::to_text`]. Lines without the `server_`
-    /// prefix (e.g. the database counters of a combined `METRICS` dump),
-    /// blank lines and `#` comments are skipped; unknown `server_*`
-    /// counters are ignored so older scrapers keep working. Histogram
-    /// buckets are reconstructed from their cumulative counts. A
-    /// `server_*` line that is not `name value` with an unsigned integer
-    /// value is an error.
-    pub fn from_text(text: &str) -> std::result::Result<Self, String> {
-        let mut snapshot = ServerMetricsSnapshot::default();
-        let mut cumulative = [None::<u64>; LATENCY_BUCKETS];
-        for line in text.lines() {
-            let line = line.trim();
-            let Some(rest) = line.strip_prefix("server_") else {
-                continue;
-            };
-            let (name, value) = rest
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed server metrics line {line:?}"))?;
-            let value: u64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("non-integer value in server metrics line {line:?}"))?;
-            if let Some(upper) = name.strip_prefix("latency_us_le_") {
-                let upper: u64 = upper
-                    .parse()
-                    .map_err(|_| format!("bad latency bucket in line {line:?}"))?;
-                // Bucket i has upper edge 2^(i+1).
-                if upper.is_power_of_two() && upper > 1 {
-                    let i = (upper.trailing_zeros() - 1) as usize;
-                    if i < LATENCY_BUCKETS {
-                        cumulative[i] = Some(value);
-                    }
-                }
-                continue;
-            }
-            macro_rules! assign {
-                ($($field:ident),*) => {
-                    match name {
-                        $(stringify!($field) => snapshot.$field = value,)*
-                        _ => {}
-                    }
-                };
-            }
-            for_each_server_counter!(assign);
-        }
-        let mut prev = 0u64;
-        for (out, cum) in snapshot.latency_us.iter_mut().zip(cumulative) {
-            if let Some(cum) = cum {
-                *out = cum.saturating_sub(prev);
-                prev = cum;
-            }
-        }
-        Ok(snapshot)
-    }
 }
-
-// The exhaustiveness guard behind `for_each_server_counter!`: a scalar
-// snapshot field missing from the list stops this from compiling.
-macro_rules! server_counter_list_guard {
-    ($($field:ident),*) => {
-        #[allow(dead_code)]
-        fn _server_counter_list_is_exhaustive(s: ServerMetricsSnapshot) {
-            let ServerMetricsSnapshot { $($field: _,)* latency_us: _ } = s;
-        }
-    };
-}
-for_each_server_counter!(server_counter_list_guard);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphsi_core::DbMetricsSnapshot;
 
     #[test]
     fn request_latencies_land_in_log2_buckets() {
@@ -306,9 +128,9 @@ mod tests {
     #[test]
     fn queue_depth_keeps_the_peak() {
         let m = ServerMetrics::new();
-        m.record_queue_depth(3);
-        m.record_queue_depth(9);
-        m.record_queue_depth(5);
+        m.queue_depth_peak.max(3);
+        m.queue_depth_peak.max(9);
+        m.queue_depth_peak.max(5);
         assert_eq!(m.snapshot().queue_depth_peak, 9);
     }
 
@@ -317,7 +139,7 @@ mod tests {
         let m = ServerMetrics::new();
         m.session_opened();
         m.record_request(7);
-        m.record_rejected_overload();
+        m.rejected_overload.add(1);
         let text = m.snapshot().to_text();
         assert!(text.lines().count() >= 8 + LATENCY_BUCKETS);
         for l in text.lines() {
@@ -329,32 +151,25 @@ mod tests {
         assert!(text.contains("server_rejected_overload 1\n"));
     }
 
-    /// Gives every scalar counter (and a few histogram buckets) a
-    /// distinct non-zero value, expanding from the counter list so a
-    /// counter dropped from the codec cannot round-trip.
-    fn distinct_snapshot() -> ServerMetricsSnapshot {
-        let mut s = ServerMetricsSnapshot::default();
-        let mut next = 1u64;
-        macro_rules! fill {
-            ($($field:ident),*) => {
-                $(
-                    s.$field = next;
-                    next += 1;
-                )*
-            };
-        }
-        for_each_server_counter!(fill);
-        for (i, bucket) in s.latency_us.iter_mut().enumerate() {
-            *bucket = (i as u64 * 7) % 5;
-        }
-        s
+    /// The default dump with every line set to a distinct, increasing
+    /// value (increasing, so the cumulative histogram lines stay valid),
+    /// so a metric the codec dropped or mixed up cannot round-trip.
+    fn distinct_text() -> String {
+        ServerMetricsSnapshot::default()
+            .to_text()
+            .lines()
+            .zip(1u64..)
+            .map(|(line, value)| format!("{} {value}\n", line.split(' ').next().unwrap()))
+            .collect()
     }
 
     #[test]
     fn text_encoding_round_trips_every_counter() {
-        let s = distinct_snapshot();
-        let parsed = ServerMetricsSnapshot::from_text(&s.to_text()).unwrap();
-        assert_eq!(parsed, s);
+        let text = distinct_text();
+        let parsed = ServerMetricsSnapshot::from_text(&text).unwrap();
+        assert_eq!(parsed.to_text(), text);
+        assert_eq!(parsed.latency_us[0], 9, "first bucket after 8 counters");
+        assert_eq!(parsed.latency_us[1], 1, "buckets rebuilt from cumulative");
     }
 
     #[test]
@@ -362,14 +177,13 @@ mod tests {
         // The METRICS command concatenates the database counters and the
         // server counters into one dump; each side's parser must
         // round-trip its own counters and ignore the other's lines.
-        use graphsi_core::DbMetricsSnapshot;
         let db = DbMetricsSnapshot {
             commits: 11,
             wal_syncs: 3,
             predicate_pushdowns: 5,
             ..Default::default()
         };
-        let server = distinct_snapshot();
+        let server = ServerMetricsSnapshot::from_text(&distinct_text()).unwrap();
         let combined = format!("{}{}", db.to_text(), server.to_text());
         assert_eq!(DbMetricsSnapshot::from_text(&combined).unwrap(), db);
         assert_eq!(ServerMetricsSnapshot::from_text(&combined).unwrap(), server);
@@ -379,7 +193,75 @@ mod tests {
     fn from_text_rejects_malformed_server_lines() {
         assert!(ServerMetricsSnapshot::from_text("server_requests_total").is_err());
         assert!(ServerMetricsSnapshot::from_text("server_requests_total many").is_err());
+        assert!(ServerMetricsSnapshot::from_text("server_latency_us_le_x 1").is_err());
         // Non-server lines are not ours to validate.
         assert!(ServerMetricsSnapshot::from_text("commits seven").is_ok());
+    }
+
+    /// Pins the wire format of the `METRICS` frame: the exact, ordered
+    /// list of names in the combined dump. Scrapers parse these names, so
+    /// renaming, reordering or dropping one is a breaking change.
+    #[test]
+    fn metrics_dump_names_are_pinned() {
+        let dump = format!(
+            "{}{}",
+            DbMetricsSnapshot::default().to_text(),
+            ServerMetricsSnapshot::default().to_text()
+        );
+        let mut names: Vec<String> = [
+            "begins",
+            "commits",
+            "read_only_commits",
+            "rollbacks",
+            "conflict_aborts",
+            "reads",
+            "writes",
+            "gc_runs",
+            "versions_reclaimed",
+            "chunk_refills",
+            "candidate_buffer_peak",
+            "shard_key_buffer_peak",
+            "cursor_restarts",
+            "wal_syncs",
+            "group_commit_batches",
+            "group_commit_batch_size_max",
+            "store_apply_shard_conflicts",
+            "store_apply_concurrency_peak",
+            "wal_abort_records",
+            "predicate_pushdowns",
+            "decode_filter_fallbacks",
+            "property_decodes",
+            "ordered_index_streams",
+            "topk_early_exits",
+            "intersection_pushdowns",
+            "intersection_leg_skips",
+            "write_retries",
+            "write_retry_backoff_us",
+            "checkpoint_epochs",
+            "checkpoint_pages_flushed",
+            "checkpoint_concurrent_commits",
+            "wal_segments_created",
+            "wal_segments_deleted",
+            "wal_retained_bytes",
+            "verify_runs",
+            "pages_verified",
+            "verify_divergences",
+            "page_checksum_failures",
+            "torn_pages_recovered",
+            "server_sessions_active",
+            "server_sessions_total",
+            "server_rejected_sessions",
+            "server_requests_total",
+            "server_rejected_overload",
+            "server_idle_timeout_aborts",
+            "server_disconnect_rollbacks",
+            "server_queue_depth_peak",
+        ]
+        .map(String::from)
+        .to_vec();
+        assert_eq!(names.len(), 39 + 8);
+        names.extend((1..=28).map(|i| format!("server_latency_us_le_{}", 1u64 << i)));
+        let expected: Vec<String> = names.iter().map(|name| format!("{name} 0")).collect();
+        assert_eq!(dump.lines().collect::<Vec<_>>(), expected);
     }
 }

@@ -381,7 +381,7 @@ mod req_op {
 }
 
 /// One client request. See the module docs for the framing; the session
-/// state machine in [`crate::session`] defines the semantics.
+/// state machine in `crate::session` defines the semantics.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe, answered inline (never queued, never shed).

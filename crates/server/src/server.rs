@@ -217,7 +217,7 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let session_count = shared.sessions.lock().len();
                 if session_count >= shared.config.max_sessions {
-                    shared.metrics.record_rejected_session();
+                    shared.metrics.rejected_sessions.add(1);
                     reject_connection(stream);
                     continue;
                 }
@@ -233,19 +233,19 @@ fn accept_loop(
                     .spawn(move || {
                         connection_loop(stream, &session, &conn_shared, &read_pool, &write_pool);
                         conn_shared.sessions.lock().remove(&id);
-                        conn_shared.metrics.session_closed();
+                        conn_shared.metrics.sessions_active.sub(1);
                         // A transaction still open here means the client
                         // vanished mid-transaction: dropping the session
                         // state rolls it back and releases its locks.
                         if session.inner.lock().txn.is_some() {
-                            conn_shared.metrics.record_disconnect_rollback();
+                            conn_shared.metrics.disconnect_rollbacks.add(1);
                         }
                     });
                 match spawned {
                     Ok(handle) => shared.conn_threads.lock().push(handle),
                     Err(_) => {
                         shared.sessions.lock().remove(&id);
-                        shared.metrics.session_closed();
+                        shared.metrics.sessions_active.sub(1);
                     }
                 }
             }
@@ -356,7 +356,7 @@ fn connection_loop(
         };
         let response = match pool.try_submit(job) {
             Ok(depth) => {
-                shared.metrics.record_queue_depth(depth);
+                shared.metrics.queue_depth_peak.max(depth);
                 // Block until the worker answers; the protocol is
                 // strictly one-request-one-response per connection.
                 match resp_rx.recv_timeout(Duration::from_secs(600)) {
@@ -370,7 +370,7 @@ fn connection_loop(
                 }
             }
             Err(SubmitError::QueueFull) => {
-                shared.metrics.record_rejected_overload();
+                shared.metrics.rejected_overload.add(1);
                 Response::Overloaded {
                     message: "admission queue full, retry with backoff".into(),
                 }
@@ -435,7 +435,7 @@ fn sweeper_loop(shared: &Arc<Shared>) {
                 && now.duration_since(inner.last_activity) >= shared.config.idle_timeout
             {
                 Session::abort_idle(&mut inner);
-                shared.metrics.record_idle_timeout_abort();
+                shared.metrics.idle_timeout_aborts.add(1);
             }
         }
     }

@@ -100,20 +100,24 @@ impl IdAllocator {
             path: path.to_path_buf(),
             reason: "corrupt id file".to_owned(),
         };
-        if bytes.len() < 16 {
+        // The file is a sequence of little-endian words: `next`, the
+        // free-list length, then the free-list.
+        let word = |i: usize| -> Option<u64> {
+            let at = i.checked_mul(8)?;
+            let bytes = bytes.get(at..at.checked_add(8)?)?;
+            Some(u64::from_le_bytes(bytes.try_into().ok()?))
+        };
+        let (Some(next), Some(count)) = (word(0), word(1)) else {
             return Err(corrupt());
-        }
-        let next = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        if bytes.len() < 16 + count * 8 {
-            return Err(corrupt());
-        }
-        let mut free = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = 16 + i * 8;
-            free.push(u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()));
-        }
-        Ok((next, free))
+        };
+        // `count` comes from disk: bound it by the file size before
+        // allocating for it.
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&count| count <= bytes.len() / 8 - 2)
+            .ok_or_else(corrupt)?;
+        let free = (2..count + 2).map(word).collect::<Option<Vec<u64>>>();
+        Ok((next, free.ok_or_else(corrupt)?))
     }
 }
 
@@ -188,6 +192,19 @@ mod tests {
         let path = dir.path().join("bad.id");
         std::fs::write(&path, [1, 2, 3]).unwrap();
         assert!(IdAllocator::open(&path).is_err());
+    }
+
+    #[test]
+    fn huge_free_list_count_is_rejected_without_overflow() {
+        let dir = TempDir::new("id_alloc_huge_count");
+        let path = dir.path().join("huge.id");
+        let mut bytes = 7u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            IdAllocator::open(&path),
+            Err(StorageError::InvalidStoreDirectory { .. })
+        ));
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl PropertyStore {
     }
 
     /// Fuzzy-checkpoint flush of both underlying stores (see
-    /// [`crate::store_file::StoreFile::flush_incremental`]). Returns the
+    /// `StoreFile::flush_incremental`). Returns the
     /// total pages written back.
     pub fn flush_incremental(&self, chunk: usize) -> Result<u64> {
         Ok(self.records.flush_incremental(chunk)? + self.dynamics.flush_incremental(chunk)?)

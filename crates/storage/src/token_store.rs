@@ -144,23 +144,24 @@ impl TokenRegistry {
             path: path.to_path_buf(),
             reason: format!("corrupt token file: {reason}"),
         };
-        if bytes.len() < 8 {
+        let Some((count, _)) = bytes.split_first_chunk::<8>() else {
             return Err(corrupt("missing header"));
-        }
-        let count = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
+        };
+        let count = u64::from_le_bytes(*count);
         // Each name needs at least a 4-byte length prefix, so `count` can
         // never legitimately exceed the remaining bytes / 4. This also guards
         // the pre-allocation below against corrupt headers.
-        if count > bytes.len().saturating_sub(8) / 4 {
-            return Err(corrupt("token count exceeds file size"));
-        }
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&count| count <= (bytes.len() - 8) / 4)
+            .ok_or_else(|| corrupt("token count exceeds file size"))?;
         let mut names = Vec::with_capacity(count);
         let mut off = 8usize;
         for _ in 0..count {
-            if off + 4 > bytes.len() {
+            let Some((len, _)) = bytes[off..].split_first_chunk::<4>() else {
                 return Err(corrupt("truncated length"));
-            }
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+            };
+            let len = u32::from_le_bytes(*len) as usize;
             off += 4;
             if off + len > bytes.len() {
                 return Err(corrupt("truncated name"));

@@ -259,16 +259,23 @@ fn conflicting_writers_both_commit_through_jittered_retries() {
         .unwrap();
     tx.commit().unwrap();
 
-    // A barrier aligns the two writers round by round, maximising the
-    // chance each round really collides on the hot node.
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
+    // A channel pair aligns the two writers round by round, maximising the
+    // chance each round really collides on the hot node: each writer
+    // announces its round to its peer, then waits for the peer's
+    // announcement. Unlike a barrier, a dead peer releases its partner —
+    // its channel ends drop, `send`/`recv` fail, the survivor stops — so a
+    // writer panic fails the test with its own message instead of hanging.
+    let (a_tx, a_rx) = mpsc::channel::<()>();
+    let (b_tx, b_rx) = mpsc::channel::<()>();
+    let handles: Vec<_> = [(a_tx, b_rx), (b_tx, a_rx)]
+        .into_iter()
+        .map(|(to_peer, from_peer)| {
             let db = db.clone();
-            let barrier = std::sync::Arc::clone(&barrier);
             thread::spawn(move || {
                 for _ in 0..ROUNDS {
-                    barrier.wait();
+                    if to_peer.send(()).is_err() || from_peer.recv().is_err() {
+                        return;
+                    }
                     db.write_with_retry(|tx| {
                         let current = tx
                             .node_property(hot, "value")?
@@ -281,8 +288,12 @@ fn conflicting_writers_both_commit_through_jittered_retries() {
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
+    // Join both before re-raising, so the survivor is not left detached.
+    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    for result in joined {
+        if let Err(panic) = result {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     let total = db
