@@ -1,6 +1,7 @@
-//! Structured-mutation robustness harness over the two wire formats:
-//! the WAL entry framing (`graphsi_wal::record`) and the server
-//! protocol (`graphsi_server::protocol`).
+//! Structured-mutation robustness harness over the byte formats: the WAL
+//! entry framing and typed payloads (`graphsi_wal::record`), the commit
+//! records recovery replays (`graphsi_core::CommitRecord`), the server
+//! protocol (`graphsi_server::protocol`) and store-page trailers.
 //!
 //! Every mutant of a well-formed input must produce a typed error or a
 //! clean parse — never a panic, never an unbounded allocation. The
@@ -13,10 +14,12 @@
 use std::io::Cursor;
 
 use graphsi_check::fuzz::{fuzz_iterations, Mutator};
-use graphsi_core::{IsolationLevel, PropertyValue};
+use graphsi_core::{CommitOp, CommitRecord, IsolationLevel, PropertyValue, Timestamp};
 use graphsi_server::protocol::FrameReader;
 use graphsi_server::{Request, Response, WireNode, WireRow};
-use graphsi_storage::pages::{page_crc32, Page, PageVerdict, PAGE_SIZE, PAGE_TRAILER_SIZE};
+use graphsi_storage::codec::crc32;
+use graphsi_storage::pages::{Page, PageVerdict, PAGE_SIZE, PAGE_TRAILER_SIZE};
+use graphsi_storage::{LabelToken, NodeId, PropertyKeyToken, RelTypeToken, RelationshipId};
 use graphsi_wal::record::encode_frame;
 use graphsi_wal::{
     payload_kind, AbortRangeRecord, AbortRecord, CheckpointBeginRecord, CheckpointEndRecord,
@@ -182,8 +185,74 @@ fn wal_payload_seeds() -> Vec<Vec<u8>> {
             stable_ts: 1_000,
         }
         .encode(),
-        b"\x01commit payload bytes".to_vec(),
     ]
+    .into_iter()
+    .chain(commit_record_seeds())
+    .collect()
+}
+
+/// Real commit records: every op kind, every value kind, and one entity
+/// at the 255-label limit.
+fn commit_record_seeds() -> Vec<Vec<u8>> {
+    let props = |base: u32| {
+        vec![
+            (PropertyKeyToken(base), PropertyValue::Bool(true)),
+            (PropertyKeyToken(base + 1), PropertyValue::Int(-36)),
+            (PropertyKeyToken(base + 2), PropertyValue::Float(0.5)),
+            (
+                PropertyKeyToken(base + 3),
+                PropertyValue::String("grace".to_owned()),
+            ),
+        ]
+    };
+    let records = [
+        CommitRecord {
+            commit_ts: Timestamp(7),
+            ops: vec![
+                CommitOp::CreateNode {
+                    id: NodeId::new(1),
+                    labels: vec![LabelToken(1), LabelToken(2)],
+                    properties: props(0),
+                },
+                CommitOp::UpdateNode {
+                    id: NodeId::new(2),
+                    labels: vec![],
+                    properties: props(4),
+                },
+                CommitOp::CreateRelationship {
+                    id: RelationshipId::new(3),
+                    source: NodeId::new(1),
+                    target: NodeId::new(2),
+                    rel_type: RelTypeToken(5),
+                    properties: props(8),
+                },
+                CommitOp::UpdateRelationship {
+                    id: RelationshipId::new(3),
+                    properties: props(12),
+                },
+                CommitOp::DeleteRelationship {
+                    id: RelationshipId::new(4),
+                },
+                CommitOp::DeleteNode { id: NodeId::new(5) },
+            ],
+        },
+        CommitRecord {
+            commit_ts: Timestamp(u64::MAX),
+            ops: vec![CommitOp::UpdateNode {
+                id: NodeId::new(9),
+                labels: (0..255).map(LabelToken).collect(),
+                properties: props(0),
+            }],
+        },
+        CommitRecord {
+            commit_ts: Timestamp(1),
+            ops: vec![],
+        },
+    ];
+    records
+        .iter()
+        .map(|r| r.encode().expect("seed within limits"))
+        .collect()
 }
 
 // -----------------------------------------------------------------
@@ -207,6 +276,10 @@ fn seeds_are_well_formed() {
     }
     for bytes in wal_payload_seeds() {
         payload_kind(&bytes, 0).expect("payload seed must have a kind");
+    }
+    for bytes in commit_record_seeds() {
+        let record = CommitRecord::decode(&bytes).expect("commit seed must decode");
+        assert_eq!(record.encode().expect("re-encodes"), bytes);
     }
 }
 
@@ -255,6 +328,26 @@ fn wal_typed_payload_decode_survives_mutation() {
         let _ = SegmentHeaderRecord::decode(&mutant, 7);
         let _ = CheckpointBeginRecord::decode(&mutant, 7);
         let _ = CheckpointEndRecord::decode(&mutant, 7);
+    }
+}
+
+/// Recovery decodes every replayed commit record. A mutant must decode
+/// to a typed error or to a record that accounts for every byte: its
+/// encoding is as long as the mutant (a bool byte other than 0 or 1 reads
+/// as `true` and re-encodes as 1) and decodes back to itself.
+#[test]
+fn commit_record_decode_survives_mutation() {
+    let seeds = commit_record_seeds();
+    let mut mutator = Mutator::new(0x434F_4D54);
+    for i in 0..fuzz_iterations() {
+        let seed = &seeds[(i as usize) % seeds.len()];
+        let mutant = mutator.mutate(seed);
+        if let Ok(record) = CommitRecord::decode(&mutant) {
+            let bytes = record.encode().expect("a decoded record is within limits");
+            assert_eq!(bytes.len(), mutant.len(), "decode must consume every byte");
+            let again = CommitRecord::decode(&bytes).expect("re-encoding decodes");
+            assert_eq!(again.encode().expect("within limits"), bytes);
+        }
     }
 }
 
@@ -369,7 +462,7 @@ fn page_trailer_decode_survives_mutation() {
             // The reported CRC must be the one actually computed over
             // the page image (everything before the CRC field), so
             // operators can trust the error text.
-            assert_eq!(expected, page_crc32(&page.bytes()[..PAGE_SIZE - 4]));
+            assert_eq!(expected, crc32(&page.bytes()[..PAGE_SIZE - 4]));
         }
     }
 }

@@ -2,15 +2,18 @@
 //! and their application to the persistent store (both at commit time and
 //! during recovery replay).
 //!
-//! The encoding is a small hand-rolled binary format (no external
-//! serialisation dependency): a commit timestamp followed by a list of
-//! operations, each carrying the token-level state the store needs.
+//! The encoding, written through [`graphsi_storage::codec`]: a kind byte
+//! and a commit timestamp, then a list of operations, each carrying the
+//! token-level state the store needs.
 
+use graphsi_storage::codec::{
+    put_u16, put_u32, put_u64, put_u8, put_value, set_u64, CodecError, Reader,
+};
 use graphsi_storage::{
     GraphStore, LabelToken, NodeId, PropertyKeyToken, PropertyValue, RelTypeToken, RelationshipId,
 };
 use graphsi_txn::Timestamp;
-use graphsi_wal::record::PAYLOAD_KIND_COMMIT;
+use graphsi_wal::record::{MAX_PAYLOAD, PAYLOAD_KIND_COMMIT};
 
 use crate::error::{DbError, Result};
 
@@ -80,29 +83,29 @@ pub struct CommitRecord {
 impl CommitRecord {
     /// Serialises the record to bytes for the WAL. Fails with
     /// [`DbError::CommitRecordOverflow`] if any field exceeds the format's
-    /// limits (e.g. more than 255 labels on one entity) — the limits are
-    /// validated here rather than silently truncated, so a malformed record
-    /// can never reach the log.
+    /// limits (e.g. more than 255 labels on one entity, or a framed record
+    /// longer than the log's [`MAX_PAYLOAD`]) — the limits are validated
+    /// here rather than silently truncated, so a malformed record can never
+    /// reach the log.
     pub fn encode(&self) -> Result<Vec<u8>> {
         Ok(frame_record(self.commit_ts, &encode_ops(&self.ops)?))
     }
 
     /// Deserialises a record previously produced by [`CommitRecord::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut cursor = Cursor { bytes, pos: 0 };
-        let kind = cursor.u8()?;
-        if kind != PAYLOAD_KIND_COMMIT {
-            return Err(DbError::CorruptCommitRecord(format!(
-                "payload kind {kind:#04x} is not a commit record"
-            )));
+        fn record(r: &mut Reader<'_>) -> std::result::Result<CommitRecord, CodecError> {
+            if r.u8()? != PAYLOAD_KIND_COMMIT {
+                return Err(r.error_at(0, "payload kind is not a commit record"));
+            }
+            let commit_ts = Timestamp(r.u64()?);
+            let count = r.count(Reader::u32, MIN_OP_BYTES)?;
+            let ops = (0..count)
+                .map(|_| decode_op(r))
+                .collect::<std::result::Result<_, _>>()?;
+            r.finish()?;
+            Ok(CommitRecord { commit_ts, ops })
         }
-        let commit_ts = Timestamp(cursor.u64()?);
-        let count = cursor.u32()? as usize;
-        let mut ops = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            ops.push(decode_op(&mut cursor)?);
-        }
-        Ok(CommitRecord { commit_ts, ops })
+        record(&mut Reader::new(bytes)).map_err(|e| DbError::CorruptCommitRecord(e.to_string()))
     }
 }
 
@@ -117,24 +120,40 @@ pub const MAX_PROPS_PER_ENTITY: usize = u16::MAX as usize;
 /// Serialises a list of operations *without* the record header. The commit
 /// pipeline encodes the (potentially large) op list outside its sequencing
 /// critical section and frames it with the commit timestamp only once the
-/// timestamp is assigned — see [`frame_record`].
+/// timestamp is assigned — see [`frame_record`]. Fails with
+/// [`DbError::CommitRecordOverflow`] on any format limit, including a
+/// framed record the log would refuse, so the pipeline aborts before it
+/// draws a timestamp.
 pub fn encode_ops(ops: &[CommitOp]) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    put_u32(&mut out, ops.len() as u32);
     for op in ops {
         encode_op(op, &mut out)?;
     }
+    if RECORD_HEADER_BYTES + out.len() > MAX_PAYLOAD {
+        return Err(DbError::CommitRecordOverflow(format!(
+            "{} bytes framed (the log takes at most {MAX_PAYLOAD})",
+            RECORD_HEADER_BYTES + out.len()
+        )));
+    }
     Ok(out)
 }
+
+/// Bytes [`frame_record`] puts before the op body: kind tag + timestamp.
+const RECORD_HEADER_BYTES: usize = 1 + 8;
+
+/// The smallest encoded op (a delete: tag + id), bounding a record's op
+/// count by its length before anything is allocated.
+const MIN_OP_BYTES: usize = 1 + 8;
 
 /// Prepends the payload-kind tag and the commit-timestamp header to an op
 /// body produced by [`encode_ops`], yielding the final WAL payload. The
 /// kind byte lets recovery tell commit records from the pipeline's abort
 /// records ([`graphsi_wal::AbortRecord`]) before decoding either.
 pub fn frame_record(commit_ts: Timestamp, ops_body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 8 + ops_body.len());
-    out.push(PAYLOAD_KIND_COMMIT);
-    out.extend_from_slice(&commit_ts.raw().to_le_bytes());
+    let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + ops_body.len());
+    put_u8(&mut out, PAYLOAD_KIND_COMMIT);
+    put_u64(&mut out, commit_ts.raw());
     out.extend_from_slice(ops_body);
     out
 }
@@ -144,7 +163,7 @@ pub fn frame_record(commit_ts: Timestamp, ops_body: &[u8]) -> Vec<u8> {
 /// its sequencing lock and patches the real timestamp in place once it is
 /// drawn, so the critical section never copies the record.
 pub fn patch_commit_ts(payload: &mut [u8], commit_ts: Timestamp) {
-    payload[1..9].copy_from_slice(&commit_ts.raw().to_le_bytes());
+    set_u64(payload, 1, commit_ts.raw());
 }
 
 fn encode_op(op: &CommitOp, out: &mut Vec<u8>) -> Result<()> {
@@ -154,8 +173,8 @@ fn encode_op(op: &CommitOp, out: &mut Vec<u8>) -> Result<()> {
             labels,
             properties,
         } => {
-            out.push(1);
-            out.extend_from_slice(&id.raw().to_le_bytes());
+            put_u8(out, 1);
+            put_u64(out, id.raw());
             encode_labels(labels, out)?;
             encode_props(properties, out)?;
         }
@@ -164,14 +183,14 @@ fn encode_op(op: &CommitOp, out: &mut Vec<u8>) -> Result<()> {
             labels,
             properties,
         } => {
-            out.push(2);
-            out.extend_from_slice(&id.raw().to_le_bytes());
+            put_u8(out, 2);
+            put_u64(out, id.raw());
             encode_labels(labels, out)?;
             encode_props(properties, out)?;
         }
         CommitOp::DeleteNode { id } => {
-            out.push(3);
-            out.extend_from_slice(&id.raw().to_le_bytes());
+            put_u8(out, 3);
+            put_u64(out, id.raw());
         }
         CommitOp::CreateRelationship {
             id,
@@ -180,21 +199,21 @@ fn encode_op(op: &CommitOp, out: &mut Vec<u8>) -> Result<()> {
             rel_type,
             properties,
         } => {
-            out.push(4);
-            out.extend_from_slice(&id.raw().to_le_bytes());
-            out.extend_from_slice(&source.raw().to_le_bytes());
-            out.extend_from_slice(&target.raw().to_le_bytes());
-            out.extend_from_slice(&rel_type.0.to_le_bytes());
+            put_u8(out, 4);
+            put_u64(out, id.raw());
+            put_u64(out, source.raw());
+            put_u64(out, target.raw());
+            put_u32(out, rel_type.0);
             encode_props(properties, out)?;
         }
         CommitOp::UpdateRelationship { id, properties } => {
-            out.push(5);
-            out.extend_from_slice(&id.raw().to_le_bytes());
+            put_u8(out, 5);
+            put_u64(out, id.raw());
             encode_props(properties, out)?;
         }
         CommitOp::DeleteRelationship { id } => {
-            out.push(6);
-            out.extend_from_slice(&id.raw().to_le_bytes());
+            put_u8(out, 6);
+            put_u64(out, id.raw());
         }
     }
     Ok(())
@@ -207,9 +226,9 @@ fn encode_labels(labels: &[LabelToken], out: &mut Vec<u8>) -> Result<()> {
             labels.len()
         )));
     }
-    out.push(labels.len() as u8);
+    put_u8(out, labels.len() as u8);
     for l in labels {
-        out.extend_from_slice(&l.0.to_le_bytes());
+        put_u32(out, l.0);
     }
     Ok(())
 }
@@ -221,81 +240,22 @@ fn encode_props(props: &[(PropertyKeyToken, PropertyValue)], out: &mut Vec<u8>) 
             props.len()
         )));
     }
-    out.extend_from_slice(&(props.len() as u16).to_le_bytes());
+    put_u16(out, props.len() as u16);
     for (key, value) in props {
-        out.extend_from_slice(&key.0.to_le_bytes());
-        match value {
-            PropertyValue::Bool(b) => {
-                out.push(0);
-                out.push(u8::from(*b));
-            }
-            PropertyValue::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            PropertyValue::Float(x) => {
-                out.push(2);
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            PropertyValue::String(s) => {
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
+        put_u32(out, key.0);
+        put_value(out, value);
     }
     Ok(())
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn bad_width(want: usize) -> DbError {
-    DbError::CorruptCommitRecord(format!("integer field is not {want} bytes wide"))
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(DbError::CorruptCommitRecord(format!(
-                "truncated record at offset {}",
-                self.pos
-            )));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let bytes = self.take(2)?.try_into().map_err(|_| bad_width(2))?;
-        Ok(u16::from_le_bytes(bytes))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let bytes = self.take(4)?.try_into().map_err(|_| bad_width(4))?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let bytes = self.take(8)?.try_into().map_err(|_| bad_width(8))?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-}
-
-fn decode_op(cursor: &mut Cursor<'_>) -> Result<CommitOp> {
-    let tag = cursor.u8()?;
+fn decode_op(r: &mut Reader<'_>) -> std::result::Result<CommitOp, CodecError> {
+    let at = r.position();
+    let tag = r.u8()?;
     Ok(match tag {
         1 | 2 => {
-            let id = NodeId::new(cursor.u64()?);
-            let labels = decode_labels(cursor)?;
-            let properties = decode_props(cursor)?;
+            let id = NodeId::new(r.u64()?);
+            let labels = decode_labels(r)?;
+            let properties = decode_props(r)?;
             if tag == 1 {
                 CommitOp::CreateNode {
                     id,
@@ -311,69 +271,41 @@ fn decode_op(cursor: &mut Cursor<'_>) -> Result<CommitOp> {
             }
         }
         3 => CommitOp::DeleteNode {
-            id: NodeId::new(cursor.u64()?),
+            id: NodeId::new(r.u64()?),
         },
         4 => CommitOp::CreateRelationship {
-            id: RelationshipId::new(cursor.u64()?),
-            source: NodeId::new(cursor.u64()?),
-            target: NodeId::new(cursor.u64()?),
-            rel_type: RelTypeToken(cursor.u32()?),
-            properties: decode_props(cursor)?,
+            id: RelationshipId::new(r.u64()?),
+            source: NodeId::new(r.u64()?),
+            target: NodeId::new(r.u64()?),
+            rel_type: RelTypeToken(r.u32()?),
+            properties: decode_props(r)?,
         },
         5 => CommitOp::UpdateRelationship {
-            id: RelationshipId::new(cursor.u64()?),
-            properties: decode_props(cursor)?,
+            id: RelationshipId::new(r.u64()?),
+            properties: decode_props(r)?,
         },
         6 => CommitOp::DeleteRelationship {
-            id: RelationshipId::new(cursor.u64()?),
+            id: RelationshipId::new(r.u64()?),
         },
-        other => {
-            return Err(DbError::CorruptCommitRecord(format!(
-                "unknown op tag {other}"
-            )))
-        }
+        _ => return Err(r.error_at(at, "unknown op tag")),
     })
 }
 
-fn decode_labels(cursor: &mut Cursor<'_>) -> Result<Vec<LabelToken>> {
-    let count = cursor.u8()? as usize;
-    let mut labels = Vec::with_capacity(count);
-    for _ in 0..count {
-        labels.push(LabelToken(cursor.u32()?));
-    }
-    Ok(labels)
+fn decode_labels(r: &mut Reader<'_>) -> std::result::Result<Vec<LabelToken>, CodecError> {
+    let count = r.count(Reader::u8, 4)?;
+    (0..count).map(|_| Ok(LabelToken(r.u32()?))).collect()
 }
 
-fn decode_props(cursor: &mut Cursor<'_>) -> Result<Vec<(PropertyKeyToken, PropertyValue)>> {
-    let count = cursor.u16()? as usize;
-    let mut props = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = PropertyKeyToken(cursor.u32()?);
-        let vtag = cursor.u8()?;
-        let value = match vtag {
-            0 => PropertyValue::Bool(cursor.u8()? != 0),
-            1 => PropertyValue::Int(cursor.u64()? as i64),
-            2 => PropertyValue::Float(f64::from_bits(cursor.u64()?)),
-            3 => {
-                let len = cursor.u32()? as usize;
-                let bytes = cursor.take(len)?;
-                PropertyValue::String(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| {
-                            DbError::CorruptCommitRecord("invalid UTF-8 in property".into())
-                        })?
-                        .to_owned(),
-                )
-            }
-            other => {
-                return Err(DbError::CorruptCommitRecord(format!(
-                    "unknown value tag {other}"
-                )))
-            }
-        };
-        props.push((key, value));
-    }
-    Ok(props)
+/// The smallest encoded property: key + tag + a bool's one byte.
+const MIN_PROP_BYTES: usize = 4 + 1 + 1;
+
+fn decode_props(
+    r: &mut Reader<'_>,
+) -> std::result::Result<Vec<(PropertyKeyToken, PropertyValue)>, CodecError> {
+    let count = r.count(Reader::u16, MIN_PROP_BYTES)?;
+    (0..count)
+        .map(|_| Ok((PropertyKeyToken(r.u32()?), r.value()?)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -62,11 +62,6 @@ pub struct DbConfig {
     pub wal_segment_bytes: u64,
     /// Page-cache pages per record store.
     pub cache_pages_per_store: usize,
-    /// Verify store-page trailer checksums when pages fault in (default
-    /// on). With this off, only unambiguous torn file tails are still
-    /// rejected; full-page corruption is left for
-    /// [`crate::db::GraphDb::verify`] to find.
-    pub verify_pages_on_read: bool,
     /// Shards of the versioned object caches.
     pub cache_shards: usize,
     /// How long a blocking lock acquisition (read-committed mode) waits
@@ -104,7 +99,6 @@ impl Default for DbConfig {
             sync_policy: SyncPolicy::OnDemand,
             wal_segment_bytes: DbConfig::DEFAULT_WAL_SEGMENT_BYTES,
             cache_pages_per_store: 256,
-            verify_pages_on_read: true,
             cache_shards: 16,
             lock_timeout: Duration::from_millis(500),
             auto_gc_every_commits: None,
@@ -201,12 +195,6 @@ impl DbConfig {
         self
     }
 
-    /// Builder-style setter for fault-in page-checksum verification.
-    pub fn with_verify_pages_on_read(mut self, enabled: bool) -> Self {
-        self.verify_pages_on_read = enabled;
-        self
-    }
-
     /// Builder-style setter for the page-cache capacity of each record
     /// store (clamped to at least 1). Tiny capacities force eviction
     /// write-backs, which the integrity crash-point tests use to land
@@ -279,16 +267,6 @@ mod tests {
                 .with_wal_segment_bytes(1 << 20)
                 .wal_segment_bytes,
             1 << 20
-        );
-    }
-
-    #[test]
-    fn verify_pages_defaults_on() {
-        assert!(DbConfig::default().verify_pages_on_read);
-        assert!(
-            !DbConfig::default()
-                .with_verify_pages_on_read(false)
-                .verify_pages_on_read
         );
     }
 

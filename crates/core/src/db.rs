@@ -135,7 +135,6 @@ impl GraphDb {
             dir,
             GraphStoreConfig {
                 cache_pages_per_store: config.cache_pages_per_store,
-                verify_pages_on_read: config.verify_pages_on_read,
             },
         )?;
         if store

@@ -27,10 +27,11 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use graphsi_storage::StorageError;
 use graphsi_txn::Timestamp;
 
 use crate::db::GraphDbInner;
-use crate::error::Result;
+use crate::error::{DbError, Result};
 
 /// The classes of corruption [`crate::GraphDb::verify`] distinguishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -161,8 +162,15 @@ pub(crate) fn run(inner: &GraphDbInner) -> Result<VerifyReport> {
         );
     }
 
-    // Sweeps 2 + 3: store and index walks, suspect-then-confirm.
-    let (entities, suspects) = walk(inner)?;
+    // Sweeps 2 + 3: store and index walks, suspect-then-confirm. A page
+    // the sweep found rotten refuses to fault in, so the walk cannot get
+    // past it; the page findings are then the report.
+    let (entities, suspects) = match walk(inner) {
+        Err(DbError::Storage(StorageError::PageChecksum { .. })) if report.bad_page_crc > 0 => {
+            (0, Vec::new())
+        }
+        walked => walked?,
+    };
     report.entities_checked = entities;
     let mut confirmed = suspects;
     if !confirmed.is_empty() {

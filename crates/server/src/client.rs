@@ -53,6 +53,13 @@ impl From<ProtoError> for ClientError {
         match e {
             ProtoError::Io(e) => ClientError::Io(e),
             ProtoError::Malformed(reason) => ClientError::Protocol(reason),
+            // Refused before a byte was sent, with the error the server
+            // answers an over-limit response with; the session stays
+            // usable.
+            e @ ProtoError::FrameTooLarge { .. } => ClientError::Server {
+                code: ErrorCode::Internal,
+                message: e.to_string(),
+            },
         }
     }
 }

@@ -10,9 +10,10 @@
 //! +---------+---------+------------------+
 //! ```
 //!
-//! and every payload starts with a one-byte opcode, in the same manual
-//! little-endian style `wal::record` frames log entries with (the
-//! environment is offline — no serde). TCP already checksums the stream,
+//! and every payload starts with a one-byte opcode. Every field goes
+//! through [`graphsi_storage::codec`], the byte codec the log and the
+//! store files use, so a property value has the same bytes on the wire as
+//! in a commit record. TCP already checksums the stream,
 //! so unlike the WAL frame there is no CRC; the magic word still rejects
 //! desynchronised or non-protocol peers early.
 //!
@@ -27,6 +28,9 @@
 use std::io::{Read, Write};
 
 use graphsi_core::{IsolationLevel, PropertyValue};
+use graphsi_storage::codec::{
+    get_u32, put_str, put_u32, put_u64, put_u8, put_value, CodecError, Reader,
+};
 
 /// Magic marker beginning every frame ("GSP1").
 pub const FRAME_MAGIC: u32 = 0x4753_5031;
@@ -46,6 +50,13 @@ pub enum ProtoError {
     Io(std::io::Error),
     /// A frame or payload violated the format.
     Malformed(String),
+    /// A payload longer than [`MAX_FRAME_PAYLOAD`] was offered to
+    /// [`write_frame`], which refused it before writing a byte: the peer's
+    /// [`FrameReader`] would refuse it as malformed.
+    FrameTooLarge {
+        /// Length of the refused payload.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for ProtoError {
@@ -53,6 +64,10 @@ impl std::fmt::Display for ProtoError {
         match self {
             ProtoError::Io(e) => write!(f, "protocol i/o error: {e}"),
             ProtoError::Malformed(reason) => write!(f, "malformed frame: {reason}"),
+            ProtoError::FrameTooLarge { len } => write!(
+                f,
+                "payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte frame limit"
+            ),
         }
     }
 }
@@ -61,7 +76,7 @@ impl std::error::Error for ProtoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProtoError::Io(e) => Some(e),
-            ProtoError::Malformed(_) => None,
+            ProtoError::Malformed(_) | ProtoError::FrameTooLarge { .. } => None,
         }
     }
 }
@@ -72,15 +87,26 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        ProtoError::Malformed(e.to_string())
+    }
+}
+
 /// Result alias of the wire layer.
 pub type ProtoResult<T> = std::result::Result<T, ProtoError>;
 
-/// Writes one frame (header + payload) to `w` and flushes it.
+/// Writes one frame (header + payload) to `w` and flushes it. A payload
+/// over [`MAX_FRAME_PAYLOAD`] is refused with
+/// [`ProtoError::FrameTooLarge`] before anything is written, so the
+/// stream stays in sync.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> ProtoResult<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
+    if payload.len() > MAX_FRAME_PAYLOAD {
+        return Err(ProtoError::FrameTooLarge { len: payload.len() });
+    }
     let mut buf = Vec::with_capacity(FRAME_HEADER_SIZE + payload.len());
-    buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_u32(&mut buf, FRAME_MAGIC);
+    put_u32(&mut buf, payload.len() as u32);
     buf.extend_from_slice(payload);
     w.write_all(&buf)?;
     w.flush()?;
@@ -150,19 +176,11 @@ impl FrameReader {
         if self.buf.len() < FRAME_HEADER_SIZE {
             return Ok(None);
         }
-        let magic = u32::from_le_bytes(
-            self.buf[0..4]
-                .try_into()
-                .map_err(|_| bad_field_width("frame magic"))?,
-        );
+        let magic = get_u32(&self.buf, 0);
         if magic != FRAME_MAGIC {
             return Err(ProtoError::Malformed(format!("bad magic {magic:#010x}")));
         }
-        let len = u32::from_le_bytes(
-            self.buf[4..8]
-                .try_into()
-                .map_err(|_| bad_field_width("frame length"))?,
-        ) as usize;
+        let len = get_u32(&self.buf, 4) as usize;
         if len > MAX_FRAME_PAYLOAD {
             return Err(ProtoError::Malformed(format!(
                 "payload length {len} exceeds maximum"
@@ -178,46 +196,15 @@ impl FrameReader {
 }
 
 // ---------------------------------------------------------------------
-// Payload primitives
+// Payload helpers over the shared codec
 // ---------------------------------------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
+/// The smallest encoded `(name, value)` pair: an empty name and a bool.
+const MIN_PROP_BYTES: usize = 4 + 1 + 1;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &PropertyValue) {
-    match v {
-        PropertyValue::Bool(b) => {
-            put_u8(out, 0);
-            put_u8(out, u8::from(*b));
-        }
-        PropertyValue::Int(i) => {
-            put_u8(out, 1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        PropertyValue::Float(f) => {
-            put_u8(out, 2);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        PropertyValue::String(s) => {
-            put_u8(out, 3);
-            put_str(out, s);
-        }
-    }
-}
+/// The smallest encoded result row: node id, no relationship, no
+/// properties.
+const MIN_ROW_BYTES: usize = 8 + 1 + 4;
 
 fn put_opt_value(out: &mut Vec<u8>, v: &Option<PropertyValue>) {
     match v {
@@ -244,115 +231,26 @@ fn put_props(out: &mut Vec<u8>, props: &[(String, PropertyValue)]) {
     }
 }
 
-/// Bounds-checked payload cursor used by every decoder.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn string(r: &mut Reader<'_>) -> ProtoResult<String> {
+    Ok(r.str()?.to_owned())
 }
 
-fn bad_field_width(what: &str) -> ProtoError {
-    ProtoError::Malformed(format!("{what} field has the wrong byte width"))
+fn opt_value(r: &mut Reader<'_>) -> ProtoResult<Option<PropertyValue>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.value()?)),
+        tag => Err(ProtoError::Malformed(format!("bad option tag {tag}"))),
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
+fn strings(r: &mut Reader<'_>) -> ProtoResult<Vec<String>> {
+    let n = r.count(Reader::u32, 4)?;
+    (0..n).map(|_| string(r)).collect()
+}
 
-    fn bytes(&mut self, n: usize) -> ProtoResult<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(ProtoError::Malformed(format!(
-                "payload truncated at offset {} (wanted {n} more bytes)",
-                self.pos
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> ProtoResult<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> ProtoResult<u32> {
-        let bytes = self
-            .bytes(4)?
-            .try_into()
-            .map_err(|_| bad_field_width("u32"))?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> ProtoResult<u64> {
-        let bytes = self
-            .bytes(8)?
-            .try_into()
-            .map_err(|_| bad_field_width("u64"))?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn i64(&mut self) -> ProtoResult<i64> {
-        let bytes = self
-            .bytes(8)?
-            .try_into()
-            .map_err(|_| bad_field_width("i64"))?;
-        Ok(i64::from_le_bytes(bytes))
-    }
-
-    fn string(&mut self) -> ProtoResult<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtoError::Malformed("invalid utf-8 in string".into()))
-    }
-
-    fn value(&mut self) -> ProtoResult<PropertyValue> {
-        match self.u8()? {
-            0 => Ok(PropertyValue::Bool(self.u8()? != 0)),
-            1 => Ok(PropertyValue::Int(self.i64()?)),
-            2 => Ok(PropertyValue::Float(f64::from_bits(self.u64()?))),
-            3 => Ok(PropertyValue::String(self.string()?)),
-            tag => Err(ProtoError::Malformed(format!("unknown value tag {tag}"))),
-        }
-    }
-
-    fn opt_value(&mut self) -> ProtoResult<Option<PropertyValue>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.value()?)),
-            tag => Err(ProtoError::Malformed(format!("bad option tag {tag}"))),
-        }
-    }
-
-    fn strings(&mut self) -> ProtoResult<Vec<String>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(self.string()?);
-        }
-        Ok(out)
-    }
-
-    fn props(&mut self) -> ProtoResult<Vec<(String, PropertyValue)>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let key = self.string()?;
-            let value = self.value()?;
-            out.push((key, value));
-        }
-        Ok(out)
-    }
-
-    fn finish(&self) -> ProtoResult<()> {
-        if self.pos != self.buf.len() {
-            return Err(ProtoError::Malformed(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+fn props(r: &mut Reader<'_>) -> ProtoResult<Vec<(String, PropertyValue)>> {
+    let n = r.count(Reader::u32, MIN_PROP_BYTES)?;
+    (0..n).map(|_| Ok((string(r)?, r.value()?))).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -610,7 +508,7 @@ impl Request {
 
     /// Deserialises a request payload.
     pub fn decode(payload: &[u8]) -> ProtoResult<Self> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let request = match c.u8()? {
             req_op::PING => Request::Ping,
             req_op::HEALTH => Request::Health,
@@ -631,42 +529,42 @@ impl Request {
             req_op::COMMIT => Request::Commit,
             req_op::ROLLBACK => Request::Rollback,
             req_op::CREATE_NODE => Request::CreateNode {
-                labels: c.strings()?,
-                properties: c.props()?,
+                labels: strings(&mut c)?,
+                properties: props(&mut c)?,
             },
             req_op::GET_NODE => Request::GetNode { id: c.u64()? },
             req_op::SET_NODE_PROPERTY => Request::SetNodeProperty {
                 id: c.u64()?,
-                key: c.string()?,
+                key: string(&mut c)?,
                 value: c.value()?,
             },
             req_op::REMOVE_NODE_PROPERTY => Request::RemoveNodeProperty {
                 id: c.u64()?,
-                key: c.string()?,
+                key: string(&mut c)?,
             },
             req_op::DELETE_NODE => Request::DeleteNode { id: c.u64()? },
             req_op::CREATE_RELATIONSHIP => Request::CreateRelationship {
                 source: c.u64()?,
                 target: c.u64()?,
-                rel_type: c.string()?,
-                properties: c.props()?,
+                rel_type: string(&mut c)?,
+                properties: props(&mut c)?,
             },
             req_op::DELETE_RELATIONSHIP => Request::DeleteRelationship { id: c.u64()? },
             req_op::NODE_PROPERTY => Request::NodeProperty {
                 id: c.u64()?,
-                key: c.string()?,
+                key: string(&mut c)?,
             },
             req_op::LABEL_QUERY => Request::LabelQuery {
-                label: c.string()?,
+                label: string(&mut c)?,
                 limit: c.u32()?,
-                projection: c.strings()?,
+                projection: strings(&mut c)?,
             },
             req_op::RANGE_QUERY => Request::RangeQuery {
-                key: c.string()?,
-                lo: c.opt_value()?,
-                hi: c.opt_value()?,
+                key: string(&mut c)?,
+                lo: opt_value(&mut c)?,
+                hi: opt_value(&mut c)?,
                 limit: c.u32()?,
-                projection: c.strings()?,
+                projection: strings(&mut c)?,
                 order: match c.u8()? {
                     o @ 0..=2 => o,
                     other => {
@@ -920,7 +818,7 @@ impl Response {
 
     /// Deserialises a response payload.
     pub fn decode(payload: &[u8]) -> ProtoResult<Self> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let response = match c.u8()? {
             resp_op::OK => Response::Ok,
             resp_op::PONG => Response::Pong,
@@ -934,18 +832,18 @@ impl Response {
                     0 => None,
                     1 => Some(WireNode {
                         id: c.u64()?,
-                        labels: c.strings()?,
-                        properties: c.props()?,
+                        labels: strings(&mut c)?,
+                        properties: props(&mut c)?,
                     }),
                     tag => return Err(ProtoError::Malformed(format!("bad option tag {tag}"))),
                 },
             },
             resp_op::VALUE => Response::Value {
-                value: c.opt_value()?,
+                value: opt_value(&mut c)?,
             },
             resp_op::ROWS => {
-                let n = c.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(4096));
+                let n = c.count(Reader::u32, MIN_ROW_BYTES)?;
+                let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
                     let node = c.u64()?;
                     let rel = match c.u8()? {
@@ -953,7 +851,7 @@ impl Response {
                         1 => Some(c.u64()?),
                         tag => return Err(ProtoError::Malformed(format!("bad option tag {tag}"))),
                     };
-                    let properties = c.props()?;
+                    let properties = props(&mut c)?;
                     rows.push(WireRow {
                         node,
                         rel,
@@ -962,13 +860,15 @@ impl Response {
                 }
                 Response::Rows { rows }
             }
-            resp_op::TEXT => Response::Text { text: c.string()? },
+            resp_op::TEXT => Response::Text {
+                text: string(&mut c)?,
+            },
             resp_op::ERROR => Response::Error {
                 code: ErrorCode::from_u8(c.u8()?)?,
-                message: c.string()?,
+                message: string(&mut c)?,
             },
             resp_op::OVERLOADED => Response::Overloaded {
-                message: c.string()?,
+                message: string(&mut c)?,
             },
             op => {
                 return Err(ProtoError::Malformed(format!(

@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 
 use crate::metrics::{ServerMetrics, ServerMetricsSnapshot};
 use crate::pool::{SubmitError, WorkerPool};
-use crate::protocol::{write_frame, FrameReader, ProtoError, Request, Response};
+use crate::protocol::{write_frame, FrameReader, ProtoError, ProtoResult, Request, Response};
 use crate::session::{request_is_read, Session};
 
 /// Tuning knobs of one [`Server`].
@@ -266,6 +266,21 @@ fn reject_connection(mut stream: TcpStream) {
     let _ = write_frame(&mut stream, &payload);
 }
 
+/// Writes one response. One too large for a frame is replaced by an
+/// `INTERNAL` error naming its size, so the session stays usable.
+fn send(stream: &mut TcpStream, response: &Response) -> ProtoResult<()> {
+    match write_frame(stream, &response.encode()) {
+        Err(e @ ProtoError::FrameTooLarge { .. }) => {
+            let error = Response::Error {
+                code: crate::protocol::ErrorCode::Internal,
+                message: e.to_string(),
+            };
+            write_frame(stream, &error.encode())
+        }
+        sent => sent,
+    }
+}
+
 fn connection_loop(
     mut stream: TcpStream,
     session: &Arc<Session>,
@@ -290,14 +305,14 @@ fn connection_loop(
             // Disconnect or I/O failure: wind the session down. The
             // open-transaction rollback happens via drop in the caller.
             Err(ProtoError::Io(_)) => return,
-            Err(ProtoError::Malformed(reason)) => {
+            Err(e) => {
                 // A desynchronised peer cannot be re-synchronised on a
                 // length-prefixed stream; report and hang up.
                 let resp = Response::Error {
                     code: crate::protocol::ErrorCode::Protocol,
-                    message: reason,
+                    message: e.to_string(),
                 };
-                let _ = write_frame(&mut stream, &resp.encode());
+                let _ = send(&mut stream, &resp);
                 return;
             }
         };
@@ -308,7 +323,7 @@ fn connection_loop(
                     code: crate::protocol::ErrorCode::Protocol,
                     message: e.to_string(),
                 };
-                if write_frame(&mut stream, &resp.encode()).is_err() {
+                if send(&mut stream, &resp).is_err() {
                     return;
                 }
                 continue;
@@ -326,7 +341,7 @@ fn connection_loop(
         };
         if let Some(response) = inline {
             shared.metrics.record_request(0);
-            if write_frame(&mut stream, &response.encode()).is_err() {
+            if send(&mut stream, &response).is_err() {
                 return;
             }
             continue;
@@ -377,7 +392,7 @@ fn connection_loop(
             }
             Err(SubmitError::Closed) => return,
         };
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        if send(&mut stream, &response).is_err() {
             return;
         }
     }

@@ -440,3 +440,47 @@ fn conflicting_explicit_transactions_surface_typed_conflicts() {
     t2.rollback().unwrap();
     server.shutdown();
 }
+
+/// A response too large for one frame is answered with a typed
+/// `INTERNAL` error naming its size, and the session stays usable; a
+/// request too large for one frame is refused by the client the same way
+/// before a byte is sent.
+#[test]
+fn oversize_frames_are_refused_typed_and_the_session_survives() {
+    let _watchdog = Watchdog::arm(
+        "oversize_frames_are_refused_typed_and_the_session_survives",
+        Duration::from_secs(120),
+    );
+    let dir = TempDir::new("srv_oversize");
+    let db = GraphDb::open(dir.path(), DbConfig::default()).unwrap();
+    let huge = "x".repeat(17 << 20);
+    let id = {
+        let mut tx = db.begin();
+        let id = tx
+            .create_node(&["Big"], &[("blob", PropertyValue::String(huge.clone()))])
+            .unwrap();
+        tx.commit().unwrap();
+        id
+    };
+    let mut server = Server::bind(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = connect(&server);
+
+    match c.get_node(id.raw()) {
+        Err(ClientError::Server {
+            code: ErrorCode::Internal,
+            message,
+        }) => assert!(message.contains("bytes exceeds"), "{message}"),
+        other => panic!("expected a typed INTERNAL error, got {other:?}"),
+    }
+    c.ping().expect("the session survives an oversize response");
+
+    match c.create_node(&["Big"], &[("blob", PropertyValue::String(huge))]) {
+        Err(ClientError::Server {
+            code: ErrorCode::Internal,
+            ..
+        }) => {}
+        other => panic!("expected the client to refuse the request, got {other:?}"),
+    }
+    c.ping().expect("the session survives an oversize request");
+    server.shutdown();
+}

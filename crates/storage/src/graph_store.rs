@@ -51,16 +51,12 @@ const MAX_CHAIN_LENGTH: usize = 10_000_000;
 pub struct GraphStoreConfig {
     /// Number of pages each record store may keep cached in memory.
     pub cache_pages_per_store: usize,
-    /// Verify page-trailer checksums when pages fault in (default on).
-    /// Short non-zero file tails are rejected even when this is off.
-    pub verify_pages_on_read: bool,
 }
 
 impl Default for GraphStoreConfig {
     fn default() -> Self {
         GraphStoreConfig {
             cache_pages_per_store: 256,
-            verify_pages_on_read: true,
         }
     }
 }
@@ -163,11 +159,10 @@ impl GraphStore {
             source: e,
         })?;
         let pages = config.cache_pages_per_store;
-        let verify = config.verify_pages_on_read;
         Ok(GraphStore {
-            nodes: RecordStore::open_with(&dir, "nodes.db", pages, verify)?,
-            relationships: RecordStore::open_with(&dir, "relationships.db", pages, verify)?,
-            properties: PropertyStore::open_with(&dir, pages, verify)?,
+            nodes: RecordStore::open(&dir, "nodes.db", pages)?,
+            relationships: RecordStore::open(&dir, "relationships.db", pages)?,
+            properties: PropertyStore::open(&dir, pages)?,
             tokens: TokenStores::open(&dir)?,
             dir,
         })

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::codec::{put_u64, CodecError, Reader};
 use crate::error::{Result, StorageError};
 
 /// Allocates record IDs for one store.
@@ -87,37 +88,29 @@ impl IdAllocator {
         }
         let free = self.free.lock();
         let mut bytes = Vec::with_capacity(16 + free.len() * 8);
-        bytes.extend_from_slice(&self.next.load(Ordering::Relaxed).to_le_bytes());
-        bytes.extend_from_slice(&(free.len() as u64).to_le_bytes());
-        for id in free.iter() {
-            bytes.extend_from_slice(&id.to_le_bytes());
+        put_u64(&mut bytes, self.next.load(Ordering::Relaxed));
+        put_u64(&mut bytes, free.len() as u64);
+        for &id in free.iter() {
+            put_u64(&mut bytes, id);
         }
         fs::write(&self.path, bytes).map_err(|e| StorageError::io("writing id file", e))
     }
 
+    /// Decodes an `.id` sidecar: little-endian `u64` words holding
+    /// `next`, the free-list length, then the free-list.
     fn decode(bytes: &[u8], path: &Path) -> Result<(u64, Vec<u64>)> {
-        let corrupt = || StorageError::InvalidStoreDirectory {
+        fn words(r: &mut Reader<'_>) -> std::result::Result<(u64, Vec<u64>), CodecError> {
+            let next = r.u64()?;
+            let count = r.count(Reader::u64, 8)?;
+            let free = (0..count)
+                .map(|_| r.u64())
+                .collect::<std::result::Result<_, _>>()?;
+            Ok((next, free))
+        }
+        words(&mut Reader::new(bytes)).map_err(|e| StorageError::InvalidStoreDirectory {
             path: path.to_path_buf(),
-            reason: "corrupt id file".to_owned(),
-        };
-        // The file is a sequence of little-endian words: `next`, the
-        // free-list length, then the free-list.
-        let word = |i: usize| -> Option<u64> {
-            let at = i.checked_mul(8)?;
-            let bytes = bytes.get(at..at.checked_add(8)?)?;
-            Some(u64::from_le_bytes(bytes.try_into().ok()?))
-        };
-        let (Some(next), Some(count)) = (word(0), word(1)) else {
-            return Err(corrupt());
-        };
-        // `count` comes from disk: bound it by the file size before
-        // allocating for it.
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&count| count <= bytes.len() / 8 - 2)
-            .ok_or_else(corrupt)?;
-        let free = (2..count + 2).map(word).collect::<Option<Vec<u64>>>();
-        Ok((next, free.ok_or_else(corrupt)?))
+            reason: format!("corrupt id file: {e}"),
+        })
     }
 }
 

@@ -18,6 +18,8 @@
 //!   stores and their files.
 //! * **Token stores** ([`token_store::TokenStores`]) intern label names,
 //!   property keys and relationship type names.
+//! * **One byte codec** ([`codec`]) encodes every format above, and the
+//!   WAL's and the wire's, with one CRC-32.
 //!
 //! The top-level entry point is [`graph_store::GraphStore`], which exposes
 //! the logical operations the transactional layers above need. Crucially —
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod codec;
 pub mod error;
 pub mod graph_store;
 pub mod id_allocator;

@@ -9,8 +9,7 @@
 //!
 //! Every write-back seals the page's integrity trailer (CRC + stamp, see
 //! [`crate::pages`]), so the on-disk image always carries a checksum. On
-//! fault-in the trailer is verified (when `verify_on_read` is on, the
-//! default) and a mismatch surfaces as a typed
+//! fault-in the trailer is verified and a mismatch surfaces as a typed
 //! [`StorageError::PageChecksum`] instead of decoding garbage. During
 //! recovery the cache can be switched into a permissive mode
 //! ([`PageCache::begin_recovery`]) that *collects* checksum-failed pages
@@ -117,7 +116,6 @@ struct CacheInner {
 pub struct PageCache {
     path: PathBuf,
     capacity: usize,
-    verify_on_read: bool,
     /// Stamp written into page trailers at write-back (checkpoint epoch;
     /// purely diagnostic).
     stamp: AtomicU64,
@@ -129,17 +127,6 @@ impl PageCache {
     /// `capacity` cached pages and checksum verification on fault-in. A
     /// capacity of zero is rounded up to one.
     pub fn open(path: impl AsRef<Path>, capacity: usize) -> Result<Self> {
-        Self::open_with(path, capacity, true)
-    }
-
-    /// [`PageCache::open`] with an explicit `verify_on_read` choice.
-    /// Short-read tails with non-zero bytes are still rejected even when
-    /// verification is off — those are unambiguous torn writes.
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        capacity: usize,
-        verify_on_read: bool,
-    ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .read(true)
@@ -159,7 +146,6 @@ impl PageCache {
         Ok(PageCache {
             path,
             capacity: capacity.max(1),
-            verify_on_read,
             stamp: AtomicU64::new(0),
             // Lock-order rank: see the README's lock-rank map (a leaf —
             // never held across another acquisition).
@@ -441,26 +427,18 @@ impl PageCache {
             let page = Page::from_bytes(&buf);
             // A short tail is legitimate only while it is all zeros (a
             // crash between file extension and the page write); any other
-            // short or full page must verify. Short non-zero tails are
-            // checked even when verification is off — they are
-            // unambiguous torn writes, not a knob-dependent judgement.
-            let short_read = read < PAGE_SIZE;
-            if self.verify_on_read || short_read {
-                match page.verify() {
-                    PageVerdict::AllZero | PageVerdict::Valid { .. } => {}
-                    PageVerdict::Corrupt { expected, found } => {
-                        inner.stats.checksum_failures += 1;
-                        if let Some(suspects) = inner.suspects.as_mut() {
-                            suspects.entry(page_no).or_insert((expected, found));
-                        } else {
-                            return Err(StorageError::PageChecksum {
-                                file: self.file_name(),
-                                page: page_no,
-                                expected,
-                                found,
-                            });
-                        }
-                    }
+            // short or full page must verify.
+            if let PageVerdict::Corrupt { expected, found } = page.verify() {
+                inner.stats.checksum_failures += 1;
+                if let Some(suspects) = inner.suspects.as_mut() {
+                    suspects.entry(page_no).or_insert((expected, found));
+                } else {
+                    return Err(StorageError::PageChecksum {
+                        file: self.file_name(),
+                        page: page_no,
+                        expected,
+                        found,
+                    });
                 }
             }
             page
@@ -683,26 +661,10 @@ mod tests {
         assert!(cache.with_page(0, |b| b.iter().all(|&x| x == 0)).unwrap());
     }
 
+    /// The short-read audit: a torn tail with non-zero bytes is rejected,
+    /// while an all-zero tail (legitimate fresh extension) passes.
     #[test]
-    fn verification_can_be_disabled() {
-        let dir = TempDir::new("page_cache_noverify");
-        let path = dir.path().join("store");
-        {
-            let cache = PageCache::open(&path, 4).unwrap();
-            cache.with_page_mut(0, |b| b[10] = 99).unwrap();
-            cache.flush().unwrap();
-        }
-        flip_byte_on_disk(&path, 0, 10);
-        let cache = PageCache::open_with(&path, 4, false).unwrap();
-        // The flipped byte reads back without complaint: the knob is off.
-        assert_eq!(cache.with_page(0, |b| b[10]).unwrap(), 99 ^ 0xFF);
-    }
-
-    /// The short-read audit: a torn tail with non-zero bytes is rejected
-    /// even with verification off, while an all-zero tail (legitimate
-    /// fresh extension) passes.
-    #[test]
-    fn short_nonzero_tail_is_corruption_even_unverified() {
+    fn short_nonzero_tail_is_corruption_and_short_zero_tail_is_not() {
         let dir = TempDir::new("page_cache_short");
         let path = dir.path().join("store");
         {
@@ -714,7 +676,7 @@ mod tests {
         let file = OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(100).unwrap();
         drop(file);
-        let cache = PageCache::open_with(&path, 4, false).unwrap();
+        let cache = PageCache::open(&path, 4).unwrap();
         assert!(matches!(
             cache.with_page(0, |_| ()).unwrap_err(),
             StorageError::PageChecksum { page: 0, .. }
@@ -730,7 +692,7 @@ mod tests {
             .unwrap();
         file.set_len(100).unwrap();
         drop(file);
-        let cache = PageCache::open_with(&path2, 4, false).unwrap();
+        let cache = PageCache::open(&path2, 4).unwrap();
         assert!(cache.with_page(0, |b| b.iter().all(|&x| x == 0)).unwrap());
     }
 

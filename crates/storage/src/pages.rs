@@ -23,6 +23,8 @@
 //! [`locate_record`] floors the records-per-page division so no record
 //! ever straddles into the trailer.
 
+use crate::codec::{crc32, get_u32, get_u64, set_u32, set_u64};
+
 /// Size of a page in bytes, including the integrity trailer.
 pub const PAGE_SIZE: usize = 8192;
 
@@ -34,39 +36,6 @@ pub const PAGE_USABLE_SIZE: usize = PAGE_SIZE - PAGE_TRAILER_SIZE;
 
 /// Magic marker beginning every page trailer ("GSPG").
 pub const PAGE_TRAILER_MAGIC: u32 = 0x4753_5047;
-
-/// CRC-32 (IEEE 802.3) lookup table, built at compile time. The WAL crate
-/// carries the same polynomial; it is replicated here because
-/// `graphsi-storage` sits below `graphsi-wal` in the dependency order.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// Computes the CRC-32 (IEEE) checksum of `data`. Identical polynomial and
-/// output to `graphsi_wal::crc::crc32`, but table-driven — this runs over
-/// every 8 KiB page image on fault-in and write-back.
-pub fn page_crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// Outcome of verifying one page image against its trailer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,10 +120,10 @@ impl Page {
     /// carries a matching checksum.
     pub fn seal(&mut self, stamp: u64) {
         let t = PAGE_USABLE_SIZE;
-        self.data[t..t + 4].copy_from_slice(&PAGE_TRAILER_MAGIC.to_le_bytes());
-        self.data[t + 4..t + 12].copy_from_slice(&stamp.to_le_bytes());
-        let crc = page_crc32(&self.data[..PAGE_SIZE - 4]);
-        self.data[PAGE_SIZE - 4..].copy_from_slice(&crc.to_le_bytes());
+        set_u32(&mut self.data, t, PAGE_TRAILER_MAGIC);
+        set_u64(&mut self.data, t + 4, stamp);
+        let crc = crc32(&self.data[..PAGE_SIZE - 4]);
+        set_u32(&mut self.data, PAGE_SIZE - 4, crc);
     }
 
     /// Verifies the page image against its trailer. See [`PageVerdict`]
@@ -164,27 +133,15 @@ impl Page {
             return PageVerdict::AllZero;
         }
         let t = PAGE_USABLE_SIZE;
-        let magic = read_u32(&self.data, t);
-        let stamp = read_u64(&self.data, t + 4);
-        let found = read_u32(&self.data, PAGE_SIZE - 4);
-        let expected = page_crc32(&self.data[..PAGE_SIZE - 4]);
+        let magic = get_u32(&self.data, t);
+        let stamp = get_u64(&self.data, t + 4);
+        let found = get_u32(&self.data, PAGE_SIZE - 4);
+        let expected = crc32(&self.data[..PAGE_SIZE - 4]);
         if magic != PAGE_TRAILER_MAGIC || found != expected {
             return PageVerdict::Corrupt { expected, found };
         }
         PageVerdict::Valid { stamp }
     }
-}
-
-#[inline]
-fn read_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
-}
-
-#[inline]
-fn read_u64(b: &[u8], at: usize) -> u64 {
-    let mut out = [0u8; 8];
-    out.copy_from_slice(&b[at..at + 8]);
-    u64::from_le_bytes(out)
 }
 
 impl std::fmt::Debug for Page {
@@ -304,11 +261,11 @@ mod tests {
 
     #[test]
     fn crc_matches_known_vectors() {
-        // Same vectors the WAL's bitwise implementation is pinned to.
-        assert_eq!(page_crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(page_crc32(b""), 0);
+        // The trailer checksum is the standard CRC-32 (IEEE 802.3).
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
         assert_eq!(
-            page_crc32(b"The quick brown fox jumps over the lazy dog"),
+            crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
     }

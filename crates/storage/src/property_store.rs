@@ -30,20 +30,10 @@ impl PropertyStore {
     /// Opens (creating if necessary) the property and dynamic store files
     /// inside `dir`, verifying page checksums on fault-in.
     pub fn open(dir: impl AsRef<Path>, cache_pages: usize) -> Result<Self> {
-        Self::open_with(dir, cache_pages, true)
-    }
-
-    /// [`PropertyStore::open`] with an explicit choice of fault-in
-    /// checksum verification.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        cache_pages: usize,
-        verify_on_read: bool,
-    ) -> Result<Self> {
         let dir = dir.as_ref();
         Ok(PropertyStore {
-            records: RecordStore::open_with(dir, "properties.db", cache_pages, verify_on_read)?,
-            dynamics: RecordStore::open_with(dir, "strings.db", cache_pages, verify_on_read)?,
+            records: RecordStore::open(dir, "properties.db", cache_pages)?,
+            dynamics: RecordStore::open(dir, "strings.db", cache_pages)?,
         })
     }
 

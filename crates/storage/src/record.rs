@@ -23,6 +23,7 @@
 //! whole records as fit (see [`crate::pages::records_per_page`]), so a
 //! record never straddles a page boundary or the page trailer.
 
+use crate::codec::{get_u16, get_u32, get_u64, set_u16, set_u32, set_u64};
 use crate::error::{Result, StorageError};
 use crate::ids::{
     DynamicRecordId, LabelToken, NodeId, PropertyKeyToken, PropertyRecordId, RelTypeToken,
@@ -45,45 +46,6 @@ pub const PROPERTY_INLINE_STRING_MAX: usize = 110;
 pub const DYNAMIC_DATA_SIZE: usize = DYNAMIC_RECORD_SIZE - 11;
 
 const IN_USE_FLAG: u8 = 0b0000_0001;
-
-#[inline]
-fn put_u32(buf: &mut [u8], offset: usize, value: u32) {
-    buf[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
-}
-
-#[inline]
-fn put_u64(buf: &mut [u8], offset: usize, value: u64) {
-    buf[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
-}
-
-#[inline]
-fn put_u16(buf: &mut [u8], offset: usize, value: u16) {
-    buf[offset..offset + 2].copy_from_slice(&value.to_le_bytes());
-}
-
-/// Copies `N` bytes at `offset` into an array. Callers check the buffer
-/// length once per record, so the slice is always exactly `N` long.
-#[inline]
-fn get_bytes<const N: usize>(buf: &[u8], offset: usize) -> [u8; N] {
-    let mut out = [0u8; N];
-    out.copy_from_slice(&buf[offset..offset + N]);
-    out
-}
-
-#[inline]
-fn get_u16(buf: &[u8], offset: usize) -> u16 {
-    u16::from_le_bytes(get_bytes(buf, offset))
-}
-
-#[inline]
-fn get_u32(buf: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes(get_bytes(buf, offset))
-}
-
-#[inline]
-fn get_u64(buf: &[u8], offset: usize) -> u64 {
-    u64::from_le_bytes(get_bytes(buf, offset))
-}
 
 /// A node record (64 bytes):
 ///
@@ -147,13 +109,13 @@ impl NodeRecord {
         }
         let mut buf = [0u8; NODE_RECORD_SIZE];
         buf[0] = if self.in_use { IN_USE_FLAG } else { 0 };
-        put_u64(&mut buf, 1, self.first_rel.raw());
-        put_u64(&mut buf, 9, self.first_prop.raw());
+        set_u64(&mut buf, 1, self.first_rel.raw());
+        set_u64(&mut buf, 9, self.first_prop.raw());
         buf[17] = self.labels.len() as u8;
         for (i, label) in self.labels.iter().enumerate() {
-            put_u32(&mut buf, 18 + i * 4, label.0);
+            set_u32(&mut buf, 18 + i * 4, label.0);
         }
-        put_u64(&mut buf, 50, self.commit_ts);
+        set_u64(&mut buf, 50, self.commit_ts);
         Ok(buf)
     }
 
@@ -264,15 +226,15 @@ impl RelationshipRecord {
     pub fn encode(&self) -> [u8; RELATIONSHIP_RECORD_SIZE] {
         let mut buf = [0u8; RELATIONSHIP_RECORD_SIZE];
         buf[0] = if self.in_use { IN_USE_FLAG } else { 0 };
-        put_u32(&mut buf, 1, self.rel_type.0);
-        put_u64(&mut buf, 5, self.source.raw());
-        put_u64(&mut buf, 13, self.target.raw());
-        put_u64(&mut buf, 21, self.source_prev.raw());
-        put_u64(&mut buf, 29, self.source_next.raw());
-        put_u64(&mut buf, 37, self.target_prev.raw());
-        put_u64(&mut buf, 45, self.target_next.raw());
-        put_u64(&mut buf, 53, self.first_prop.raw());
-        put_u64(&mut buf, 61, self.commit_ts);
+        set_u32(&mut buf, 1, self.rel_type.0);
+        set_u64(&mut buf, 5, self.source.raw());
+        set_u64(&mut buf, 13, self.target.raw());
+        set_u64(&mut buf, 21, self.source_prev.raw());
+        set_u64(&mut buf, 29, self.source_next.raw());
+        set_u64(&mut buf, 37, self.target_prev.raw());
+        set_u64(&mut buf, 45, self.target_next.raw());
+        set_u64(&mut buf, 53, self.first_prop.raw());
+        set_u64(&mut buf, 61, self.commit_ts);
         buf
     }
 
@@ -411,14 +373,14 @@ impl PropertyRecord {
     pub fn encode(&self) -> Result<[u8; PROPERTY_RECORD_SIZE]> {
         let mut buf = [0u8; PROPERTY_RECORD_SIZE];
         buf[0] = if self.in_use { IN_USE_FLAG } else { 0 };
-        put_u32(&mut buf, 1, self.key.0);
-        put_u64(&mut buf, 5, self.next.raw());
+        set_u32(&mut buf, 1, self.key.0);
+        set_u64(&mut buf, 5, self.next.raw());
         buf[13] = self.value.type_tag();
         match &self.value {
             StoredValue::Null => {}
             StoredValue::Bool(b) => buf[14] = u8::from(*b),
-            StoredValue::Int(i) => put_u64(&mut buf, 14, *i as u64),
-            StoredValue::Float(x) => put_u64(&mut buf, 14, x.to_bits()),
+            StoredValue::Int(i) => set_u64(&mut buf, 14, *i as u64),
+            StoredValue::Float(x) => set_u64(&mut buf, 14, x.to_bits()),
             StoredValue::InlineString(s) => {
                 let bytes = s.as_bytes();
                 if bytes.len() > PROPERTY_INLINE_STRING_MAX {
@@ -427,12 +389,12 @@ impl PropertyRecord {
                         max: PROPERTY_INLINE_STRING_MAX,
                     });
                 }
-                put_u16(&mut buf, 14, bytes.len() as u16);
+                set_u16(&mut buf, 14, bytes.len() as u16);
                 buf[16..16 + bytes.len()].copy_from_slice(bytes);
             }
             StoredValue::DynamicString { first, len } => {
-                put_u64(&mut buf, 14, first.raw());
-                put_u32(&mut buf, 22, *len);
+                set_u64(&mut buf, 14, first.raw());
+                set_u32(&mut buf, 22, *len);
             }
         }
         Ok(buf)
@@ -527,8 +489,8 @@ impl DynamicRecord {
         }
         let mut buf = [0u8; DYNAMIC_RECORD_SIZE];
         buf[0] = if self.in_use { IN_USE_FLAG } else { 0 };
-        put_u64(&mut buf, 1, self.next.raw());
-        put_u16(&mut buf, 9, self.data.len() as u16);
+        set_u64(&mut buf, 1, self.next.raw());
+        set_u16(&mut buf, 9, self.data.len() as u16);
         buf[11..11 + self.data.len()].copy_from_slice(&self.data);
         Ok(buf)
     }

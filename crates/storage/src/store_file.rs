@@ -117,22 +117,10 @@ pub struct RecordStore<R: Record> {
 impl<R: Record> RecordStore<R> {
     /// Opens (creating if necessary) the store file `<dir>/<file_name>` and
     /// its `.id` sidecar, keeping up to `cache_pages` pages in memory.
-    /// Page checksums are verified on fault-in; use
-    /// [`RecordStore::open_with`] to opt out.
+    /// Page checksums are verified on fault-in.
     pub fn open(dir: impl AsRef<Path>, file_name: &str, cache_pages: usize) -> Result<Self> {
-        Self::open_with(dir, file_name, cache_pages, true)
-    }
-
-    /// [`RecordStore::open`] with an explicit choice of fault-in checksum
-    /// verification.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        file_name: &str,
-        cache_pages: usize,
-        verify_on_read: bool,
-    ) -> Result<Self> {
         let dir = dir.as_ref();
-        let cache = PageCache::open_with(dir.join(file_name), cache_pages, verify_on_read)?;
+        let cache = PageCache::open(dir.join(file_name), cache_pages)?;
         let ids = IdAllocator::open(dir.join(format!("{file_name}.id")))?;
         Ok(RecordStore {
             cache,

@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::RwLock;
 
+use crate::codec::{put_str, put_u64, CodecError, Reader};
 use crate::error::{Result, StorageError};
 use crate::ids::{LabelToken, PropertyKeyToken, RelTypeToken};
 
@@ -130,49 +131,24 @@ impl TokenRegistry {
             return Ok(());
         }
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(inner.names.len() as u64).to_le_bytes());
+        put_u64(&mut bytes, inner.names.len() as u64);
         for name in &inner.names {
-            let b = name.as_bytes();
-            bytes.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(b);
+            put_str(&mut bytes, name);
         }
         fs::write(path, bytes).map_err(|e| StorageError::io("writing token file", e))
     }
 
+    /// Decodes a token file: a `u64` name count, then each name as a
+    /// `u32`-length-prefixed string.
     fn decode(bytes: &[u8], path: &Path) -> Result<Vec<String>> {
-        let corrupt = |reason: &str| StorageError::InvalidStoreDirectory {
-            path: path.to_path_buf(),
-            reason: format!("corrupt token file: {reason}"),
-        };
-        let Some((count, _)) = bytes.split_first_chunk::<8>() else {
-            return Err(corrupt("missing header"));
-        };
-        let count = u64::from_le_bytes(*count);
-        // Each name needs at least a 4-byte length prefix, so `count` can
-        // never legitimately exceed the remaining bytes / 4. This also guards
-        // the pre-allocation below against corrupt headers.
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&count| count <= (bytes.len() - 8) / 4)
-            .ok_or_else(|| corrupt("token count exceeds file size"))?;
-        let mut names = Vec::with_capacity(count);
-        let mut off = 8usize;
-        for _ in 0..count {
-            let Some((len, _)) = bytes[off..].split_first_chunk::<4>() else {
-                return Err(corrupt("truncated length"));
-            };
-            let len = u32::from_le_bytes(*len) as usize;
-            off += 4;
-            if off + len > bytes.len() {
-                return Err(corrupt("truncated name"));
-            }
-            let name = std::str::from_utf8(&bytes[off..off + len])
-                .map_err(|_| corrupt("invalid UTF-8"))?
-                .to_owned();
-            off += len;
-            names.push(name);
+        fn names(r: &mut Reader<'_>) -> std::result::Result<Vec<String>, CodecError> {
+            let count = r.count(Reader::u64, 4)?;
+            (0..count).map(|_| Ok(r.str()?.to_owned())).collect()
         }
-        Ok(names)
+        names(&mut Reader::new(bytes)).map_err(|e| StorageError::InvalidStoreDirectory {
+            path: path.to_path_buf(),
+            reason: format!("corrupt token file: {e}"),
+        })
     }
 }
 

@@ -29,6 +29,14 @@ pub enum WalError {
         /// Human readable description.
         reason: String,
     },
+    /// An append offered a payload longer than
+    /// [`crate::record::MAX_PAYLOAD`]. Nothing was written: the decoder
+    /// refuses such an entry as corrupt, so open would truncate the log
+    /// there and drop every later entry with it.
+    PayloadTooLarge {
+        /// Length of the refused payload.
+        len: usize,
+    },
 }
 
 impl WalError {
@@ -53,6 +61,11 @@ impl fmt::Display for WalError {
             WalError::Corrupt { offset, reason } => {
                 write!(f, "corrupt WAL entry at offset {offset}: {reason}")
             }
+            WalError::PayloadTooLarge { len } => write!(
+                f,
+                "WAL payload of {len} bytes exceeds the {}-byte limit",
+                crate::record::MAX_PAYLOAD
+            ),
         }
     }
 }
@@ -61,7 +74,7 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io { source, .. } | WalError::OpenFailed { source, .. } => Some(source),
-            WalError::Corrupt { .. } => None,
+            WalError::Corrupt { .. } | WalError::PayloadTooLarge { .. } => None,
         }
     }
 }

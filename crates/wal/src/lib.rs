@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod crc;
 pub mod error;
 pub mod log;
 pub mod record;

@@ -416,7 +416,13 @@ impl SegmentedWal {
     /// immediately under [`SyncPolicy::Always`]. Never rotates — rotation
     /// is driven separately ([`SegmentedWal::rotate_if_needed`]) so the
     /// append path stays short.
+    ///
+    /// A payload over [`crate::record::MAX_PAYLOAD`] is refused with
+    /// [`WalError::PayloadTooLarge`] before anything is written.
     pub fn append(&self, payload: &[u8]) -> Result<u64> {
+        if payload.len() > crate::record::MAX_PAYLOAD {
+            return Err(WalError::PayloadTooLarge { len: payload.len() });
+        }
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let lsn = inner.next_lsn;
@@ -879,6 +885,34 @@ mod tests {
         assert_eq!(data[1].lsn, 3);
         assert!(!scan.truncated_tail);
         assert_eq!(scan.segments, 1);
+    }
+
+    /// The decoder refuses a payload over `MAX_PAYLOAD` as corrupt, and
+    /// open truncates the log at the first corrupt entry. An append of
+    /// such a payload must therefore fail and write nothing, or reopening
+    /// would silently drop it and every entry after it.
+    #[test]
+    fn oversize_append_is_refused_and_later_entries_survive_reopen() {
+        let dir = TempDir::new("wal_oversize");
+        {
+            let wal = open(&dir, SyncPolicy::OnDemand, BIG);
+            wal.append(b"before").unwrap();
+            let big = vec![7u8; crate::record::MAX_PAYLOAD + 1];
+            assert!(matches!(
+                wal.append(&big),
+                Err(WalError::PayloadTooLarge { len }) if len == big.len()
+            ));
+            wal.append(b"after").unwrap();
+            wal.sync().unwrap();
+        }
+        let wal = open(&dir, SyncPolicy::OnDemand, BIG);
+        let scan = wal.scan().unwrap();
+        let payloads: Vec<&[u8]> = data_entries(&scan)
+            .iter()
+            .map(|e| e.payload.as_slice())
+            .collect();
+        assert_eq!(payloads, [&b"before"[..], &b"after"[..]]);
+        assert!(!scan.truncated_tail);
     }
 
     #[test]

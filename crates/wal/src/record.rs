@@ -12,7 +12,10 @@
 //! The checksum covers the LSN and the payload, so both truncated (torn)
 //! tails and bit flips are detected on read.
 
-use crate::crc::crc32_parts;
+use graphsi_storage::codec::{
+    get_u32, get_u64, put_u32, put_u64, put_u8, CodecError, Crc32, Reader,
+};
+
 use crate::error::{Result, WalError};
 
 /// Magic marker beginning every log entry ("WALE").
@@ -99,12 +102,24 @@ pub struct AbortRecord {
 /// Encoded size of an [`AbortRecord`] payload: kind byte + timestamp.
 pub const ABORT_RECORD_SIZE: usize = 1 + 8;
 
-/// Converts a slice into a fixed-width array, reporting a typed
-/// corruption error (rather than panicking) if the width disagrees.
-fn field<const N: usize>(bytes: &[u8], offset: u64, what: &str) -> Result<[u8; N]> {
-    bytes.try_into().map_err(|_| WalError::Corrupt {
-        offset,
-        reason: format!("{what} field is not {N} bytes wide"),
+/// Decodes a typed payload: the `kind` byte, the fields `body` reads,
+/// and nothing after them. A refusal is [`WalError::Corrupt`] at `offset`
+/// plus the position of the failing field.
+fn decode_typed<T>(
+    payload: &[u8],
+    offset: u64,
+    kind: u8,
+    body: impl FnOnce(&mut Reader<'_>) -> std::result::Result<T, CodecError>,
+) -> Result<T> {
+    let mut r = Reader::new(payload);
+    let decoded = match r.u8() {
+        Ok(k) if k == kind => body(&mut r).and_then(|record| r.finish().map(|()| record)),
+        Ok(_) => Err(r.error_at(0, "wrong payload kind")),
+        Err(e) => Err(e),
+    };
+    decoded.map_err(|e| WalError::Corrupt {
+        offset: offset + e.offset as u64,
+        reason: format!("malformed payload of kind {kind:#04x}: {e}"),
     })
 }
 
@@ -112,22 +127,18 @@ impl AbortRecord {
     /// Serialises the record as a typed payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ABORT_RECORD_SIZE);
-        out.push(PAYLOAD_KIND_ABORT);
-        out.extend_from_slice(&self.commit_ts.to_le_bytes());
+        put_u8(&mut out, PAYLOAD_KIND_ABORT);
+        put_u64(&mut out, self.commit_ts);
         out
     }
 
     /// Deserialises a payload previously produced by
     /// [`AbortRecord::encode`].
     pub fn decode(payload: &[u8], offset: u64) -> Result<Self> {
-        if payload.len() != ABORT_RECORD_SIZE || payload[0] != PAYLOAD_KIND_ABORT {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: "malformed abort record".to_owned(),
-            });
-        }
-        Ok(AbortRecord {
-            commit_ts: u64::from_le_bytes(field(&payload[1..9], offset, "abort timestamp")?),
+        decode_typed(payload, offset, PAYLOAD_KIND_ABORT, |r| {
+            Ok(AbortRecord {
+                commit_ts: r.u64()?,
+            })
         })
     }
 }
@@ -158,24 +169,20 @@ impl AbortRangeRecord {
     /// Serialises the record as a typed payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ABORT_RANGE_RECORD_SIZE);
-        out.push(PAYLOAD_KIND_ABORT_RANGE);
-        out.extend_from_slice(&self.from_lsn.to_le_bytes());
-        out.extend_from_slice(&self.to_lsn.to_le_bytes());
+        put_u8(&mut out, PAYLOAD_KIND_ABORT_RANGE);
+        put_u64(&mut out, self.from_lsn);
+        put_u64(&mut out, self.to_lsn);
         out
     }
 
     /// Deserialises a payload previously produced by
     /// [`AbortRangeRecord::encode`].
     pub fn decode(payload: &[u8], offset: u64) -> Result<Self> {
-        if payload.len() != ABORT_RANGE_RECORD_SIZE || payload[0] != PAYLOAD_KIND_ABORT_RANGE {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: "malformed abort-range record".to_owned(),
-            });
-        }
-        Ok(AbortRangeRecord {
-            from_lsn: u64::from_le_bytes(field(&payload[1..9], offset, "abort-range from")?),
-            to_lsn: u64::from_le_bytes(field(&payload[9..17], offset, "abort-range to")?),
+        decode_typed(payload, offset, PAYLOAD_KIND_ABORT_RANGE, |r| {
+            Ok(AbortRangeRecord {
+                from_lsn: r.u64()?,
+                to_lsn: r.u64()?,
+            })
         })
     }
 
@@ -213,35 +220,26 @@ impl SegmentHeaderRecord {
     /// Serialises the record as a typed payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SEGMENT_HEADER_RECORD_SIZE);
-        out.push(PAYLOAD_KIND_SEGMENT_HEADER);
-        out.extend_from_slice(&SEGMENT_HEADER_MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.segment_seq.to_le_bytes());
-        out.extend_from_slice(&self.base_lsn.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
+        put_u8(&mut out, PAYLOAD_KIND_SEGMENT_HEADER);
+        put_u32(&mut out, SEGMENT_HEADER_MAGIC);
+        put_u64(&mut out, self.segment_seq);
+        put_u64(&mut out, self.base_lsn);
+        put_u64(&mut out, self.epoch);
         out
     }
 
     /// Deserialises a payload previously produced by
     /// [`SegmentHeaderRecord::encode`].
     pub fn decode(payload: &[u8], offset: u64) -> Result<Self> {
-        if payload.len() != SEGMENT_HEADER_RECORD_SIZE || payload[0] != PAYLOAD_KIND_SEGMENT_HEADER
-        {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: "malformed segment header record".to_owned(),
-            });
-        }
-        let magic = u32::from_le_bytes(field(&payload[1..5], offset, "segment header magic")?);
-        if magic != SEGMENT_HEADER_MAGIC {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: format!("bad segment header magic {magic:#010x}"),
-            });
-        }
-        Ok(SegmentHeaderRecord {
-            segment_seq: u64::from_le_bytes(field(&payload[5..13], offset, "segment seq")?),
-            base_lsn: u64::from_le_bytes(field(&payload[13..21], offset, "segment base lsn")?),
-            epoch: u64::from_le_bytes(field(&payload[21..29], offset, "segment epoch")?),
+        decode_typed(payload, offset, PAYLOAD_KIND_SEGMENT_HEADER, |r| {
+            if r.u32()? != SEGMENT_HEADER_MAGIC {
+                return Err(r.error_at(1, "bad segment header magic"));
+            }
+            Ok(SegmentHeaderRecord {
+                segment_seq: r.u64()?,
+                base_lsn: r.u64()?,
+                epoch: r.u64()?,
+            })
         })
     }
 }
@@ -269,26 +267,20 @@ impl CheckpointBeginRecord {
     /// Serialises the record as a typed payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(CHECKPOINT_BEGIN_RECORD_SIZE);
-        out.push(PAYLOAD_KIND_CHECKPOINT_BEGIN);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.begin_ts.to_le_bytes());
+        put_u8(&mut out, PAYLOAD_KIND_CHECKPOINT_BEGIN);
+        put_u64(&mut out, self.epoch);
+        put_u64(&mut out, self.begin_ts);
         out
     }
 
     /// Deserialises a payload previously produced by
     /// [`CheckpointBeginRecord::encode`].
     pub fn decode(payload: &[u8], offset: u64) -> Result<Self> {
-        if payload.len() != CHECKPOINT_BEGIN_RECORD_SIZE
-            || payload[0] != PAYLOAD_KIND_CHECKPOINT_BEGIN
-        {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: "malformed checkpoint-begin record".to_owned(),
-            });
-        }
-        Ok(CheckpointBeginRecord {
-            epoch: u64::from_le_bytes(field(&payload[1..9], offset, "checkpoint epoch")?),
-            begin_ts: u64::from_le_bytes(field(&payload[9..17], offset, "checkpoint begin ts")?),
+        decode_typed(payload, offset, PAYLOAD_KIND_CHECKPOINT_BEGIN, |r| {
+            Ok(CheckpointBeginRecord {
+                epoch: r.u64()?,
+                begin_ts: r.u64()?,
+            })
         })
     }
 }
@@ -310,25 +302,20 @@ impl CheckpointEndRecord {
     /// Serialises the record as a typed payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(CHECKPOINT_END_RECORD_SIZE);
-        out.push(PAYLOAD_KIND_CHECKPOINT_END);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.stable_ts.to_le_bytes());
+        put_u8(&mut out, PAYLOAD_KIND_CHECKPOINT_END);
+        put_u64(&mut out, self.epoch);
+        put_u64(&mut out, self.stable_ts);
         out
     }
 
     /// Deserialises a payload previously produced by
     /// [`CheckpointEndRecord::encode`].
     pub fn decode(payload: &[u8], offset: u64) -> Result<Self> {
-        if payload.len() != CHECKPOINT_END_RECORD_SIZE || payload[0] != PAYLOAD_KIND_CHECKPOINT_END
-        {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: "malformed checkpoint-end record".to_owned(),
-            });
-        }
-        Ok(CheckpointEndRecord {
-            epoch: u64::from_le_bytes(field(&payload[1..9], offset, "checkpoint epoch")?),
-            stable_ts: u64::from_le_bytes(field(&payload[9..17], offset, "checkpoint stable ts")?),
+        decode_typed(payload, offset, PAYLOAD_KIND_CHECKPOINT_END, |r| {
+            Ok(CheckpointEndRecord {
+                epoch: r.u64()?,
+                stable_ts: r.u64()?,
+            })
         })
     }
 }
@@ -349,17 +336,21 @@ pub struct LogEntry {
     pub payload: Vec<u8>,
 }
 
+/// The entry checksum: CRC-32 over the LSN's bytes, then the payload.
+fn entry_crc(lsn_bytes: &[u8], payload: &[u8]) -> u32 {
+    Crc32::default().update(lsn_bytes).update(payload).finish()
+}
+
 /// Serialises one framed entry from a borrowed payload — the append path
 /// uses this directly so it never clones the payload into a [`LogEntry`]
 /// first.
 pub fn encode_frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
-    let lsn_bytes = lsn.to_le_bytes();
-    let crc = crc32_parts(&[&lsn_bytes, payload]);
     let mut out = Vec::with_capacity(HEADER_SIZE + payload.len());
-    out.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&lsn_bytes);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_u32(&mut out, ENTRY_MAGIC);
+    put_u32(&mut out, payload.len() as u32);
+    put_u64(&mut out, lsn);
+    let crc = entry_crc(&out[8..16], payload);
+    put_u32(&mut out, crc);
     out.extend_from_slice(payload);
     out
 }
@@ -384,14 +375,14 @@ impl LogEntry {
         if buf.len() < HEADER_SIZE {
             return Ok(None);
         }
-        let magic = u32::from_le_bytes(field(&buf[0..4], offset, "entry magic")?);
+        let magic = get_u32(buf, 0);
         if magic != ENTRY_MAGIC {
             return Err(WalError::Corrupt {
                 offset,
                 reason: format!("bad magic {magic:#010x}"),
             });
         }
-        let len = u32::from_le_bytes(field(&buf[4..8], offset, "entry length")?) as usize;
+        let len = get_u32(buf, 4) as usize;
         if len > MAX_PAYLOAD {
             return Err(WalError::Corrupt {
                 offset,
@@ -401,11 +392,8 @@ impl LogEntry {
         if buf.len() < HEADER_SIZE + len {
             return Ok(None);
         }
-        let lsn = u64::from_le_bytes(field(&buf[8..16], offset, "entry lsn")?);
-        let stored_crc = u32::from_le_bytes(field(&buf[16..20], offset, "entry checksum")?);
         let payload = &buf[HEADER_SIZE..HEADER_SIZE + len];
-        let actual_crc = crc32_parts(&[&buf[8..16], payload]);
-        if stored_crc != actual_crc {
+        if get_u32(buf, 16) != entry_crc(&buf[8..16], payload) {
             return Err(WalError::Corrupt {
                 offset,
                 reason: "checksum mismatch".to_owned(),
@@ -413,7 +401,7 @@ impl LogEntry {
         }
         Ok(Some((
             LogEntry {
-                lsn,
+                lsn: get_u64(buf, 8),
                 payload: payload.to_vec(),
             },
             HEADER_SIZE + len,

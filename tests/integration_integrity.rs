@@ -426,8 +426,8 @@ fn stale_page_is_caught_online_and_rebuilt_by_replay() {
 
 /// A byte flipped on disk behind the database's back (the classic silent
 /// bit rot) is reported by the verifier's page sweep as a bad-page-CRC
-/// finding — even with fault-in verification turned off, and without the
-/// walk ever decoding the page.
+/// finding: the sweep reads every non-resident page from disk, so it sees
+/// the rot even though no read has faulted the page in.
 #[test]
 fn out_of_band_trailer_rot_is_reported_by_the_page_sweep() {
     let _watchdog = Watchdog::arm(
@@ -435,24 +435,32 @@ fn out_of_band_trailer_rot_is_reported_by_the_page_sweep() {
         Duration::from_secs(120),
     );
     let dir = TempDir::new("integrity_bit_rot");
+    // A one-frame cache: once the bulk load moves on to page 2, page 1 is
+    // no longer resident, and the checkpoint leaves it clean on disk.
+    let db = GraphDb::open(dir.path(), tiny_cache(1)).unwrap();
+    create_bulk(&db, 0, 300); // node pages 0..=2
+    db.checkpoint().unwrap();
+    // Flip one byte of page 1's CRC trailer in nodes.db, in place.
     {
-        let db = GraphDb::open(dir.path(), config()).unwrap();
-        create_bulk(&db, 0, 300); // node pages 0..=2
-        db.checkpoint().unwrap();
+        use std::io::{Read, Seek, SeekFrom, Write};
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.path().join("nodes.db"))
+            .unwrap();
+        let off = 8192 + 8191; // last byte of page 1 = high byte of its CRC
+        let mut byte = [0u8];
+        file.seek(SeekFrom::Start(off)).unwrap();
+        file.read_exact(&mut byte).unwrap();
+        file.seek(SeekFrom::Start(off)).unwrap();
+        file.write_all(&[byte[0] ^ 0xFF]).unwrap();
+        file.sync_all().unwrap();
     }
-    // Flip one byte of page 1's CRC trailer in nodes.db.
-    let path = dir.path().join("nodes.db");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let off = 8192 + 8191; // last byte of page 1 = high byte of its CRC
-    bytes[off] ^= 0xFF;
-    std::fs::write(&path, &bytes).unwrap();
-    // Reopen without fault-in verification and a one-frame cache, so the
-    // rotten page is not cache-resident when the sweep runs.
-    let db = GraphDb::open(dir.path(), tiny_cache(1).with_verify_pages_on_read(false)).unwrap();
     let report = db.verify().unwrap();
     assert!(report.bad_page_crc >= 1, "{}", report.to_text());
     assert!(report.to_text().contains("finding bad-page-crc"));
-    // With verification on, the same image refuses to even fault in.
+    // After a reopen (the object cache no longer serves these nodes), a
+    // read of the rotten page fails typed.
     drop(db);
     let err = {
         match GraphDb::open(dir.path(), tiny_cache(1)) {

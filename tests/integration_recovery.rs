@@ -715,3 +715,40 @@ fn fuzzy_checkpoint_overlaps_sustained_commits() {
         );
     }
 }
+
+/// A commit whose record the log would refuse to read back must be
+/// refused before it is acknowledged. The log's decoder treats a payload
+/// over `MAX_PAYLOAD` as corruption and open truncates there, so an
+/// accepted oversize record would take itself and every later commit
+/// with it on the next open.
+#[test]
+fn oversize_commit_is_refused_and_neighbours_survive_reopen() {
+    let _watchdog = Watchdog::arm(
+        "oversize_commit_is_refused_and_neighbours_survive_reopen",
+        Duration::from_secs(120),
+    );
+    let dir = TempDir::new("rec_oversize_commit");
+    let create = |db: &GraphDb, value: PropertyValue| {
+        let mut tx = db.begin();
+        let id = tx.create_node(&["N"], &[("v", value)])?;
+        tx.commit().map(|_| id)
+    };
+    let (a, c) = {
+        let db = GraphDb::open(dir.path(), config()).unwrap();
+        let a = create(&db, PropertyValue::from("A")).unwrap();
+        let huge = "b".repeat(graphsi_wal::record::MAX_PAYLOAD + 16);
+        assert!(matches!(
+            create(&db, PropertyValue::String(huge)),
+            Err(DbError::CommitRecordOverflow(_))
+        ));
+        let c = create(&db, PropertyValue::from("C")).unwrap();
+        (a, c)
+    };
+    let db = GraphDb::open(dir.path(), config()).unwrap();
+    let tx = db.begin();
+    for (id, v) in [(a, "A"), (c, "C")] {
+        let node = tx.get_node(id).unwrap().expect("commit survives reopen");
+        assert_eq!(node.property("v"), Some(&PropertyValue::from(v)));
+    }
+    assert_eq!(tx.nodes_with_label("N").unwrap().count(), 2);
+}
