@@ -1,14 +1,13 @@
 //! Snapshot-consistent, **chunked** lazy iterators over a transaction's
 //! view.
 //!
-//! PR 1 made the read paths lazy but still buffered full candidate-ID
-//! lists at creation; this layer removes even that. Candidates now come
-//! from resumable, GC-safe cursors — the store's relationship/slot chains
-//! ([`graphsi_storage::RelChainCursor`], [`graphsi_storage::NodeScanCursor`]),
-//! the versioned index postings ([`graphsi_index::PostingCursor`]) and the
-//! MVCC cache's shard pages — each buffering at most one fixed-size chunk
-//! of bare IDs and re-validating its position on every refill, so
-//! concurrent commits and GC above the watermark are safe. (One scoped
+//! Candidates come from resumable, GC-safe cursors — the store's
+//! relationship/slot chains ([`graphsi_storage::RelChainCursor`],
+//! [`graphsi_storage::NodeScanCursor`]), the versioned index postings
+//! ([`graphsi_index::RangePostingCursor`]) and the MVCC cache's shard
+//! pages — each buffering at most one fixed-size chunk of bare IDs and
+//! re-validating its position on every refill, so concurrent commits and
+//! GC above the watermark are safe. (One scoped
 //! exception: the whole-graph scans' cache stage transiently stages one
 //! cache shard's key set at a time, bounded by the largest shard and
 //! tracked by the `shard_key_buffer_peak` metric — see `ScanSource`.)
@@ -18,18 +17,28 @@
 //! transaction's private write set only when the iterator reaches it, so a
 //! k-hop expansion over a million-node graph holds O(frontier + chunk)
 //! memory instead of O(candidates).
+//!
+//! Every index-backed node source — label, property equality, range and
+//! sorted-posting intersection — is one scan ([`NodeIdIter`] over a list
+//! of label and range predicates): the first predicate's posting cursor
+//! drives, the others are probed in sorted build sides, and one rule
+//! merges the write set — a written node is judged by its after-state
+//! against every predicate, with the same index-key equality the postings
+//! use, and a written node the postings cannot yield joins a pending list.
 
 use std::collections::HashSet;
 use std::ops::Bound;
 
-use graphsi_index::{PostingCursor, PropertyIndexKey, RangePostingCursor};
+use graphsi_index::{bound_as_ref, PropertyIndexKey, RangePostingCursor};
 use graphsi_storage::{
-    LabelToken, NodeId, NodeScanCursor, PropertyKeyToken, PropertyValue, RelChainCursor,
-    RelScanCursor, RelationshipId, ValueKey,
+    LabelToken, NodeId, NodeScanCursor, PropertyKeyToken, RelChainCursor, RelScanCursor,
+    RelationshipId, ValueKey,
 };
+use graphsi_txn::Timestamp;
 
-use crate::entity::{Direction, Relationship, RelationshipData};
+use crate::entity::{Direction, NodeData, Relationship, RelationshipData};
 use crate::error::Result;
+use crate::plan::{value_key_in_bounds, RangePred};
 use crate::transaction::Transaction;
 
 // ----------------------------------------------------------------------
@@ -373,35 +382,99 @@ impl std::fmt::Debug for NeighborIter<'_> {
 // Node scans
 // ----------------------------------------------------------------------
 
-/// What a [`NodeIdIter`] checks before yielding a base candidate.
-enum NodeScan {
-    /// Index-backed label scan: write-set state decides membership.
+/// One predicate of an index scan, resolved to tokens. Equality is the
+/// one-key range `Included(k)..=Included(k)`.
+pub(crate) enum ScanPred {
+    /// The node carries the label.
     Label(LabelToken),
-    /// Index-backed property scan.
-    Property(PropertyKeyToken, PropertyValue),
-    /// Index-backed property **range** scan (pushed-down comparison
-    /// predicate): write-set state decides membership via the shared
-    /// range semantics.
-    PropertyRange {
-        token: PropertyKeyToken,
-        lo: Bound<ValueKey>,
-        hi: Bound<ValueKey>,
-    },
-    /// Sorted-posting intersection: the base walks the *driver* range
-    /// cursor; each candidate must also appear in every pre-drained,
-    /// sorted leg build side (binary search — no property decode).
-    /// Write-set state decides membership against all predicates at once.
-    Intersection {
-        token: PropertyKeyToken,
-        lo: Bound<ValueKey>,
-        hi: Bound<ValueKey>,
-        legs: Vec<(PropertyKeyToken, Bound<ValueKey>, Bound<ValueKey>)>,
-        builds: Vec<Vec<NodeId>>,
-    },
-    /// Whole-graph scan: every candidate is visibility-checked.
-    All,
-    /// Nothing matches (unknown label/property name).
-    Empty,
+    /// The node's value of the property key lies inside the bounds.
+    Range(PropertyKeyToken, Bound<ValueKey>, Bound<ValueKey>),
+}
+
+impl ScanPred {
+    /// `None` when the label was never interned: no node can carry it.
+    pub(crate) fn label(tx: &Transaction, name: &str) -> Option<Self> {
+        tx.db()
+            .store
+            .tokens()
+            .existing_label(name)
+            .map(ScanPred::Label)
+    }
+
+    /// `None` when the property key was never interned: no node can hold
+    /// it.
+    pub(crate) fn property(tx: &Transaction, pred: &RangePred) -> Option<Self> {
+        let token = tx.db().store.tokens().existing_property_key(&pred.name)?;
+        Some(ScanPred::Range(token, pred.lo.clone(), pred.hi.clone()))
+    }
+
+    /// Does `node` satisfy the predicate? Values compare by their index
+    /// key, exactly as the postings do, so a node's own writes and its
+    /// committed postings never disagree (`NaN` matches itself, `-0.0`
+    /// does not match `0.0`).
+    fn holds(&self, node: &NodeData) -> bool {
+        match self {
+            ScanPred::Label(token) => node.has_label(*token),
+            ScanPred::Range(token, lo, hi) => node
+                .properties
+                .get(token)
+                .is_some_and(|v| value_key_in_bounds(&v.index_key(), lo, hi)),
+        }
+    }
+
+    /// Opens the posting cursor over the predicate's keys.
+    fn postings<'tx>(
+        &self,
+        tx: &'tx Transaction,
+        read_ts: Timestamp,
+        chunk: usize,
+        descending: bool,
+    ) -> Postings<'tx> {
+        let indexes = &tx.db().indexes;
+        match self {
+            ScanPred::Label(token) => {
+                Postings::Label(indexes.labels.cursor(*token, read_ts, chunk))
+            }
+            ScanPred::Range(token, lo, hi) => {
+                let (lo, hi) = (bound_as_ref(lo), bound_as_ref(hi));
+                let values = &indexes.node_properties;
+                Postings::Value(if descending {
+                    values.range_cursor_desc(*token, lo, hi, read_ts, chunk)
+                } else {
+                    values.range_cursor(*token, lo, hi, read_ts, chunk)
+                })
+            }
+        }
+    }
+}
+
+/// The posting cursor an index scan walks. Labels and property values key
+/// different posting maps, so the cursor's key type differs.
+enum Postings<'tx> {
+    Label(RangePostingCursor<'tx, LabelToken, NodeId>),
+    Value(RangePostingCursor<'tx, PropertyIndexKey, NodeId>),
+}
+
+impl Postings<'_> {
+    /// Refills `buf` with the next chunk, never paging more than `budget`
+    /// rows when one is set (limit pushdown; the clamp persists across
+    /// refills). `false` once the postings are exhausted.
+    fn next_chunk(&mut self, budget: Option<usize>, buf: &mut Vec<NodeId>) -> bool {
+        match self {
+            Postings::Label(cursor) => {
+                if let Some(b) = budget {
+                    cursor.clamp_chunk(b);
+                }
+                cursor.next_chunk(buf)
+            }
+            Postings::Value(cursor) => {
+                if let Some(b) = budget {
+                    cursor.clamp_chunk(b);
+                }
+                cursor.next_chunk(buf)
+            }
+        }
+    }
 }
 
 /// The shape both store slot-scan cursors share, so the whole-graph scan
@@ -488,22 +561,35 @@ impl<C: SlotScanCursor> ScanSource<'_, C> {
     }
 }
 
-/// Source of base candidates for a [`NodeIdIter`].
-enum NodeBase<'tx> {
+/// Where a [`NodeIdIter`] draws candidates from, and what it checks
+/// before yielding one.
+enum NodeSource<'tx> {
+    /// Nothing matches (a label or property name that was never interned).
     Empty,
-    Label(PostingCursor<'tx, LabelToken, NodeId>),
-    Property(PostingCursor<'tx, PropertyIndexKey, NodeId>),
-    PropertyRange(RangePostingCursor<'tx, PropertyIndexKey, NodeId>),
-    All(Box<ScanSource<'tx, NodeScanCursor<'tx>>>),
+    /// Index scan: the first predicate's postings drive, and a candidate
+    /// must appear in the sorted build side of every other predicate. A
+    /// node this transaction wrote is decided by its after-state against
+    /// every predicate; an untouched one by the postings alone.
+    Index {
+        postings: Postings<'tx>,
+        preds: Vec<ScanPred>,
+        builds: Vec<Vec<NodeId>>,
+    },
+    /// Whole-graph scan: every candidate is visibility-checked once
+    /// (store ∪ cache ∪ write set may list it more than once).
+    All {
+        source: Box<ScanSource<'tx, NodeScanCursor<'tx>>>,
+        seen: HashSet<NodeId>,
+    },
 }
 
-/// Lazy, chunked iterator over node IDs from a label scan, a property scan
-/// or a whole-graph scan, merged with the transaction's write set. Yields
-/// `Result<NodeId>` in no particular order; use the `*_vec` shims on
-/// [`Transaction`] for sorted output.
+/// Lazy, chunked iterator over node IDs from an index scan (labels,
+/// property equalities, ranges and their intersections) or a whole-graph
+/// scan, merged with the transaction's write set. Yields `Result<NodeId>`
+/// in no particular order; collect and sort for a stable one.
 pub struct NodeIdIter<'tx> {
     tx: &'tx Transaction,
-    base: NodeBase<'tx>,
+    source: NodeSource<'tx>,
     base_done: bool,
     chunk: usize,
     buf: Vec<NodeId>,
@@ -511,9 +597,6 @@ pub struct NodeIdIter<'tx> {
     /// Write-set additions the index/base listing cannot know about
     /// (computed eagerly over the — small — write set at construction).
     pending: std::vec::IntoIter<NodeId>,
-    scan: NodeScan,
-    /// Deduplication for the whole-graph scan (store ∪ cache ∪ write set).
-    seen: HashSet<NodeId>,
     /// Limit pushdown: stop yielding — and stop *paging the base* — once
     /// this many rows streamed. `next_base` clamps the cursor chunk to the
     /// remaining budget so the source never over-fetches postings a
@@ -528,174 +611,30 @@ pub struct NodeIdIter<'tx> {
 }
 
 impl<'tx> NodeIdIter<'tx> {
-    pub(crate) fn empty(tx: &'tx Transaction) -> Self {
-        Self::build(tx, NodeBase::Empty, NodeScan::Empty, Vec::new(), 1)
-    }
-
-    pub(crate) fn with_label(tx: &'tx Transaction, token: LabelToken, chunk: usize) -> Self {
-        let read_ts = tx.read_timestamp();
-        let cursor = tx.db().indexes.labels.cursor(token, read_ts, chunk);
-        // Write-set additions the versioned index cannot know about: nodes
-        // whose pending state carries the label but whose visible index
-        // membership says otherwise.
-        let pending: Vec<NodeId> = match tx.write_set_ref() {
-            Some(ws) if !ws.nodes.is_empty() => ws
-                .nodes
-                .iter()
-                .filter(|(id, entry)| {
-                    entry.after.as_ref().is_some_and(|a| a.has_label(token))
-                        && !tx.db().indexes.labels.has_label(token, **id, read_ts)
-                })
-                .map(|(&id, _)| id)
-                .collect(),
-            _ => Vec::new(),
-        };
-        Self::build(
-            tx,
-            NodeBase::Label(cursor),
-            NodeScan::Label(token),
-            pending,
-            chunk,
-        )
-    }
-
-    pub(crate) fn with_property(
+    /// The one index scan behind every label, equality, range and
+    /// intersection source. `preds[0]` drives through its posting cursor
+    /// (ascending or descending, so a served `order_by` can ride it); every
+    /// other predicate is drained once into a sorted, deduplicated build
+    /// side checked by binary search per candidate, so no property list is
+    /// decoded on the committed path. `None` — some name was never
+    /// interned — scans nothing.
+    pub(crate) fn index_scan(
         tx: &'tx Transaction,
-        token: PropertyKeyToken,
-        value: PropertyValue,
-        chunk: usize,
-    ) -> Self {
-        let read_ts = tx.read_timestamp();
-        let cursor = tx
-            .db()
-            .indexes
-            .node_properties
-            .cursor(token, &value, read_ts, chunk);
-        let pending: Vec<NodeId> = match tx.write_set_ref() {
-            Some(ws) if !ws.nodes.is_empty() => ws
-                .nodes
-                .iter()
-                .filter(|(id, entry)| {
-                    entry
-                        .after
-                        .as_ref()
-                        .is_some_and(|a| a.properties.get(&token) == Some(&value))
-                        && !tx
-                            .db()
-                            .indexes
-                            .node_properties
-                            .contains(token, &value, **id, read_ts)
-                })
-                .map(|(&id, _)| id)
-                .collect(),
-            _ => Vec::new(),
-        };
-        Self::build(
-            tx,
-            NodeBase::Property(cursor),
-            NodeScan::Property(token, value),
-            pending,
-            chunk,
-        )
-    }
-
-    /// Index-backed property **range** scan: the base is a
-    /// [`RangePostingCursor`] over the sorted key dimension of the node
-    /// property index — a pushed-down comparison predicate that never
-    /// decodes candidate property lists. Pending write-set additions are
-    /// found by comparing each buffered node's after-state against the
-    /// range and its *committed* visible value through the single-key
-    /// decode fast path.
-    pub(crate) fn with_property_range(
-        tx: &'tx Transaction,
-        token: PropertyKeyToken,
-        lo: Bound<ValueKey>,
-        hi: Bound<ValueKey>,
+        preds: Option<Vec<ScanPred>>,
         chunk: usize,
         descending: bool,
-    ) -> crate::error::Result<Self> {
-        let read_ts = tx.read_timestamp();
-        let index = &tx.db().indexes.node_properties;
-        let cursor = if descending {
-            index.range_cursor_desc(
-                token,
-                graphsi_index::bound_as_ref(&lo),
-                graphsi_index::bound_as_ref(&hi),
-                read_ts,
-                chunk,
-            )
-        } else {
-            index.range_cursor(
-                token,
-                graphsi_index::bound_as_ref(&lo),
-                graphsi_index::bound_as_ref(&hi),
-                read_ts,
-                chunk,
-            )
+    ) -> Result<Self> {
+        tx.ensure_active()?;
+        let Some(preds) = preds.filter(|p| !p.is_empty()) else {
+            return Ok(Self::build(tx, NodeSource::Empty, Vec::new(), chunk));
         };
-        let mut pending: Vec<NodeId> = Vec::new();
-        if let Some(ws) = tx.write_set_ref() {
-            for (&id, entry) in &ws.nodes {
-                let in_range = entry.after.as_ref().is_some_and(|a| {
-                    a.properties
-                        .get(&token)
-                        .is_some_and(|v| crate::plan::value_key_in_bounds(&v.index_key(), &lo, &hi))
-                });
-                if !in_range {
-                    continue;
-                }
-                // Only nodes the index cannot already yield for this
-                // snapshot: their committed visible value (if any) must
-                // fall outside the range.
-                let committed = tx
-                    .db()
-                    .read_node_properties_version(id, &[token], read_ts)?
-                    .and_then(|mut v| v.pop().flatten());
-                let index_yields = committed
-                    .is_some_and(|v| crate::plan::value_key_in_bounds(&v.index_key(), &lo, &hi));
-                if !index_yields {
-                    pending.push(id);
-                }
-            }
-        }
-        Ok(Self::build(
-            tx,
-            NodeBase::PropertyRange(cursor),
-            NodeScan::PropertyRange { token, lo, hi },
-            pending,
-            chunk,
-        ))
-    }
-
-    /// Sorted-posting merge-intersect over two or more pushdown-able
-    /// predicates. The *driver* (smallest estimated leg, chosen by the
-    /// planner) streams through a range cursor — ascending or descending,
-    /// so a served `order_by` can ride it — while every other leg is
-    /// drained once into a sorted, deduplicated build side checked by
-    /// binary search per driver candidate. No property list is decoded on
-    /// the committed path.
-    pub(crate) fn with_intersection(
-        tx: &'tx Transaction,
-        driver: (PropertyKeyToken, Bound<ValueKey>, Bound<ValueKey>),
-        legs: Vec<(PropertyKeyToken, Bound<ValueKey>, Bound<ValueKey>)>,
-        chunk: usize,
-        descending: bool,
-    ) -> crate::error::Result<Self> {
         let read_ts = tx.read_timestamp();
-        let (token, lo, hi) = driver;
-        let index = &tx.db().indexes.node_properties;
-        let mut builds: Vec<Vec<NodeId>> = Vec::with_capacity(legs.len());
-        for (ltok, llo, lhi) in &legs {
-            let mut cursor = index.range_cursor(
-                *ltok,
-                graphsi_index::bound_as_ref(llo),
-                graphsi_index::bound_as_ref(lhi),
-                read_ts,
-                chunk,
-            );
-            let mut build: Vec<NodeId> = Vec::new();
-            let mut buf: Vec<NodeId> = Vec::new();
-            while cursor.next_chunk(&mut buf) {
+        let holds_all = |node: &NodeData| preds.iter().all(|p| p.holds(node));
+        let mut builds: Vec<Vec<NodeId>> = Vec::with_capacity(preds.len() - 1);
+        for leg in &preds[1..] {
+            let mut postings = leg.postings(tx, read_ts, chunk, false);
+            let (mut build, mut buf) = (Vec::new(), Vec::new());
+            while postings.next_chunk(None, &mut buf) {
                 tx.db().metrics.record_chunk_refill(buf.len());
                 build.extend_from_slice(&buf);
             }
@@ -705,76 +644,33 @@ impl<'tx> NodeIdIter<'tx> {
             build.dedup();
             builds.push(build);
         }
-        let cursor = if descending {
-            index.range_cursor_desc(
-                token,
-                graphsi_index::bound_as_ref(&lo),
-                graphsi_index::bound_as_ref(&hi),
-                read_ts,
-                chunk,
-            )
-        } else {
-            index.range_cursor(
-                token,
-                graphsi_index::bound_as_ref(&lo),
-                graphsi_index::bound_as_ref(&hi),
-                read_ts,
-                chunk,
-            )
-        };
-        // Write-set additions: pending nodes whose after-state satisfies
-        // every predicate but whose *committed* visible state the driver ∩
-        // legs walk would not surface.
+        // Own writes the postings cannot yield: a node whose after-state
+        // satisfies every predicate but whose committed visible state does
+        // not. A written node the postings do yield is decided by its
+        // after-state when the walk reaches it.
         let mut pending: Vec<NodeId> = Vec::new();
         if let Some(ws) = tx.write_set_ref() {
-            if !ws.nodes.is_empty() {
-                let tokens: Vec<PropertyKeyToken> = std::iter::once(token)
-                    .chain(legs.iter().map(|(t, _, _)| *t))
-                    .collect();
-                let bounds: Vec<(&Bound<ValueKey>, &Bound<ValueKey>)> = std::iter::once((&lo, &hi))
-                    .chain(legs.iter().map(|(_, l, h)| (l, h)))
-                    .collect();
-                for (&id, entry) in &ws.nodes {
-                    let after_ok = entry.after.as_ref().is_some_and(|a| {
-                        tokens.iter().zip(&bounds).all(|(t, (l, h))| {
-                            a.properties.get(t).is_some_and(|v| {
-                                crate::plan::value_key_in_bounds(&v.index_key(), l, h)
-                            })
-                        })
-                    });
-                    if !after_ok {
-                        continue;
-                    }
-                    let committed = tx.db().read_node_properties_version(id, &tokens, read_ts)?;
-                    let index_yields = committed.is_some_and(|vals| {
-                        vals.iter().zip(&bounds).all(|(v, (l, h))| {
-                            v.as_ref().is_some_and(|v| {
-                                crate::plan::value_key_in_bounds(&v.index_key(), l, h)
-                            })
-                        })
-                    });
-                    if !index_yields {
-                        pending.push(id);
-                    }
+            for (&id, entry) in &ws.nodes {
+                if !entry.after.as_ref().is_some_and(holds_all) {
+                    continue;
+                }
+                let committed = tx.db().read_node_version(id, read_ts)?;
+                if !committed.is_some_and(|(data, _)| holds_all(&data)) {
+                    pending.push(id);
                 }
             }
         }
-        Ok(Self::build(
-            tx,
-            NodeBase::PropertyRange(cursor),
-            NodeScan::Intersection {
-                token,
-                lo,
-                hi,
-                legs,
-                builds,
-            },
-            pending,
-            chunk,
-        ))
+        let postings = preds[0].postings(tx, read_ts, chunk, descending);
+        let source = NodeSource::Index {
+            postings,
+            preds,
+            builds,
+        };
+        Ok(Self::build(tx, source, pending, chunk))
     }
 
-    pub(crate) fn all_nodes(tx: &'tx Transaction, chunk: usize) -> Self {
+    pub(crate) fn all_nodes(tx: &'tx Transaction, chunk: usize) -> Result<Self> {
+        tx.ensure_active()?;
         let ws_keys: Vec<NodeId> = tx
             .write_set_ref()
             .map(|ws| ws.nodes.keys().copied().collect())
@@ -790,32 +686,27 @@ impl<'tx> NodeIdIter<'tx> {
             shard_after: None,
             ws_keys: ws_keys.into_iter(),
         };
-        Self::build(
-            tx,
-            NodeBase::All(Box::new(source)),
-            NodeScan::All,
-            Vec::new(),
-            chunk,
-        )
+        let source = NodeSource::All {
+            source: Box::new(source),
+            seen: HashSet::new(),
+        };
+        Ok(Self::build(tx, source, Vec::new(), chunk))
     }
 
     fn build(
         tx: &'tx Transaction,
-        base: NodeBase<'tx>,
-        scan: NodeScan,
+        source: NodeSource<'tx>,
         pending: Vec<NodeId>,
         chunk: usize,
     ) -> Self {
         NodeIdIter {
             tx,
-            base,
+            source,
             base_done: false,
             chunk,
             buf: Vec::new(),
             pos: 0,
             pending: pending.into_iter(),
-            scan,
-            seen: HashSet::new(),
             budget: None,
             yielded: 0,
             topk: false,
@@ -846,30 +737,12 @@ impl<'tx> NodeIdIter<'tx> {
             }
             self.pos = 0;
             // Limit pushdown: never page more candidates than the budget
-            // still needs (the cursor clamp persists across refills, so
-            // the final page is exactly-sized rather than a full chunk).
+            // still needs.
             let remaining = self.budget.map(|b| b.saturating_sub(self.yielded));
-            let refilled = match &mut self.base {
-                NodeBase::Empty => false,
-                NodeBase::Label(cursor) => {
-                    if let Some(r) = remaining {
-                        cursor.clamp_chunk(r);
-                    }
-                    cursor.next_chunk(&mut self.buf)
-                }
-                NodeBase::Property(cursor) => {
-                    if let Some(r) = remaining {
-                        cursor.clamp_chunk(r);
-                    }
-                    cursor.next_chunk(&mut self.buf)
-                }
-                NodeBase::PropertyRange(cursor) => {
-                    if let Some(r) = remaining {
-                        cursor.clamp_chunk(r);
-                    }
-                    cursor.next_chunk(&mut self.buf)
-                }
-                NodeBase::All(source) => {
+            let refilled = match &mut self.source {
+                NodeSource::Empty => false,
+                NodeSource::Index { postings, .. } => postings.next_chunk(remaining, &mut self.buf),
+                NodeSource::All { source, .. } => {
                     let chunk = remaining.map_or(self.chunk, |r| self.chunk.min(r.max(1)));
                     source.refill(self.tx, chunk, &mut self.buf)?
                 }
@@ -899,88 +772,30 @@ impl<'tx> NodeIdIter<'tx> {
                     return Some(Err(e));
                 }
             };
-            match &self.scan {
-                NodeScan::Empty => return None,
-                NodeScan::Label(token) => {
+            match &mut self.source {
+                NodeSource::Empty => return None,
+                NodeSource::Index { preds, builds, .. } => {
+                    // The other predicates' committed postings.
+                    if !builds.iter().all(|b| b.binary_search(&id).is_ok()) {
+                        self.tx.db().metrics.intersection_leg_skips.add(1);
+                        continue;
+                    }
                     match self.tx.write_set_ref().and_then(|ws| ws.node_state(id)) {
-                        // Own write decides: still carries the label?
+                        // Own write decides.
                         Some(Some(after)) => {
-                            if after.has_label(*token) {
+                            if preds.iter().all(|p| p.holds(after)) {
                                 return Some(Ok(id));
                             }
                         }
                         // Deleted by this transaction.
                         Some(None) => {}
-                        // Untouched: the versioned index already filtered
-                        // by snapshot visibility.
+                        // Untouched: the postings already applied snapshot
+                        // visibility and the bounds.
                         None => return Some(Ok(id)),
                     }
                 }
-                NodeScan::Property(token, value) => {
-                    match self.tx.write_set_ref().and_then(|ws| ws.node_state(id)) {
-                        Some(Some(after)) => {
-                            if after.properties.get(token) == Some(value) {
-                                return Some(Ok(id));
-                            }
-                        }
-                        Some(None) => {}
-                        None => return Some(Ok(id)),
-                    }
-                }
-                NodeScan::PropertyRange { token, lo, hi } => {
-                    match self.tx.write_set_ref().and_then(|ws| ws.node_state(id)) {
-                        // Own write decides: after-state value still in
-                        // range?
-                        Some(Some(after)) => {
-                            let still_in = after.properties.get(token).is_some_and(|v| {
-                                crate::plan::value_key_in_bounds(&v.index_key(), lo, hi)
-                            });
-                            if still_in {
-                                return Some(Ok(id));
-                            }
-                        }
-                        Some(None) => {}
-                        // Untouched: the range cursor already applied both
-                        // snapshot visibility and the bounds.
-                        None => return Some(Ok(id)),
-                    }
-                }
-                NodeScan::Intersection {
-                    token,
-                    lo,
-                    hi,
-                    legs,
-                    builds,
-                } => {
-                    match self.tx.write_set_ref().and_then(|ws| ws.node_state(id)) {
-                        // Own write decides: after-state must satisfy the
-                        // driver predicate *and* every leg.
-                        Some(Some(after)) => {
-                            let all_match = after.properties.get(token).is_some_and(|v| {
-                                crate::plan::value_key_in_bounds(&v.index_key(), lo, hi)
-                            }) && legs.iter().all(|(t, l, h)| {
-                                after.properties.get(t).is_some_and(|v| {
-                                    crate::plan::value_key_in_bounds(&v.index_key(), l, h)
-                                })
-                            });
-                            if all_match {
-                                return Some(Ok(id));
-                            }
-                        }
-                        Some(None) => {}
-                        // Untouched: the driver walk already applied
-                        // snapshot visibility and its bounds; the legs are
-                        // membership probes into sorted build sides.
-                        None => {
-                            if builds.iter().all(|b| b.binary_search(&id).is_ok()) {
-                                return Some(Ok(id));
-                            }
-                            self.tx.db().metrics.intersection_leg_skips.add(1);
-                        }
-                    }
-                }
-                NodeScan::All => {
-                    if !self.seen.insert(id) {
+                NodeSource::All { seen, .. } => {
+                    if !seen.insert(id) {
                         continue;
                     }
                     match self.tx.node_visible(id) {
@@ -1210,7 +1025,11 @@ mod tests {
         let mut tx = db.begin();
         tx.remove_label(relabel, "P").unwrap();
         let fresh = tx.create_node(&["P"], &[]).unwrap();
-        let mut ids = tx.nodes_with_label_vec("P").unwrap();
+        let mut ids: Vec<_> = tx
+            .nodes_with_label("P")
+            .unwrap()
+            .collect::<Result<_>>()
+            .unwrap();
         ids.sort();
         assert_eq!(ids, {
             let mut v = vec![keep, fresh];
@@ -1239,16 +1058,21 @@ mod tests {
         }
         tx.commit().unwrap();
 
-        let baseline: Vec<_> = {
+        fn sorted(scan: Result<super::NodeIdIter<'_>>) -> Vec<graphsi_storage::NodeId> {
+            let mut ids: Vec<_> = scan.unwrap().collect::<Result<_>>().unwrap();
+            ids.sort();
+            ids
+        }
+        let baseline = {
             let tx = db.begin();
-            tx.nodes_with_label_vec("C").unwrap()
+            sorted(tx.nodes_with_label("C"))
         };
         for chunk in [1usize, 2, 3, 256] {
             let tx = db.txn().scan_chunk_size(chunk).begin();
-            assert_eq!(tx.nodes_with_label_vec("C").unwrap(), baseline);
-            assert_eq!(tx.all_nodes_vec().unwrap(), baseline);
+            assert_eq!(sorted(tx.nodes_with_label("C")), baseline);
+            assert_eq!(sorted(tx.all_nodes()), baseline);
             assert_eq!(tx.degree(hub, Direction::Both).unwrap(), 7);
-            assert_eq!(tx.all_relationships_vec().unwrap().len(), 7);
+            assert_eq!(tx.all_relationships().unwrap().count(), 7);
         }
     }
 

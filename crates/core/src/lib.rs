@@ -35,8 +35,8 @@
 //! iterators fed by chunked, GC-safe cursors — candidate IDs are paged at
 //! most one chunk ([`DbConfig::scan_chunk_size`]) at a time — and
 //! [`Transaction::query`] composes them into streaming pipelines
-//! (label/property match → filter → multi-hop expand → distinct → limit);
-//! `*_vec` variants collect eagerly.
+//! (label/property match → filter → multi-hop expand → distinct → limit).
+//! Scans stream in no particular order; collect and sort for a stable one.
 //!
 //! ## Quick start
 //!

@@ -150,7 +150,7 @@ mod tests {
         let err = tx.create_node(&["X"], &[]).unwrap_err();
         assert!(matches!(err, DbError::ReadOnlyTransaction));
         // The transaction stays usable for reads after a rejected write.
-        assert!(tx.all_nodes_vec().unwrap().is_empty());
+        assert_eq!(tx.all_nodes().unwrap().count(), 0);
         tx.commit().unwrap();
     }
 

@@ -1,10 +1,11 @@
 //! The query planner: turns the declarative parts of a composed
 //! [`crate::QueryBuilder`] pipeline into an explicit [`Plan`].
 //!
-//! PR 5 ran this logic inline in `query.rs`; extracting it gives the plan
-//! an inspectable shape — a [`SourcePlan`] (index range, label scan,
-//! sorted-posting intersection, whole-graph decode fallback, ...) plus the
-//! residual stage list — and room for the three shapes this module adds:
+//! The plan has an inspectable shape — a [`SourcePlan`] (index range, of
+//! which equality is the one-key case; label scan; sorted-posting
+//! intersection; whole-graph decode fallback; ...) plus the residual
+//! stage list. The planner is the only place that chooses an access path,
+//! and it adds three shapes:
 //!
 //! * **ordered streaming**: `order_by`/`top_k` terminals ride the range
 //!   cursor's sorted `BTreeMap` key walk (ascending or descending) with no
@@ -77,7 +78,7 @@ pub(crate) fn value_range_key_bounds(
 /// A declarative property predicate (equality is the degenerate
 /// `Included(v) ..= Included(v)` range) — the unit the planner decides
 /// index-vs-decode for.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct RangePred {
     pub(crate) name: String,
     pub(crate) lo: Bound<ValueKey>,
@@ -173,9 +174,9 @@ pub(crate) enum Stage<'tx> {
 
 /// Where a compiled pipeline draws its initial node stream from — the
 /// explicit plan enum the planner produces. The builder composes only the
-/// plain variants (`AllNodes`, `Label`, `PropertyEq`, an unordered
-/// `IndexRange`, `Fixed`); `Empty`, `Intersection` and the
-/// ordered/descending flags are planner output.
+/// plain variants (`AllNodes`, `Label`, an unordered `IndexRange` —
+/// equality is its one-key case — and `Fixed`); `Empty`, `Intersection`
+/// and the ordered/descending flags are planner output.
 pub(crate) enum SourcePlan {
     /// Nothing can match (unsatisfiable predicate, unknown name): the
     /// whole pipeline compiles to a cheap empty stream.
@@ -184,11 +185,10 @@ pub(crate) enum SourcePlan {
     AllNodes,
     /// Index-backed label scan.
     Label(String),
-    /// Index-backed property equality scan (posting list).
-    PropertyEq(String, PropertyValue),
-    /// Index-backed property range scan over the sorted key dimension.
-    /// `ordered` marks a served `order_by`: the walk itself *is* the sort
-    /// (`descending` picks the reverse-direction cursor).
+    /// Index-backed property range scan over the sorted key dimension; an
+    /// equality is the one-key range. `ordered` marks a served `order_by`:
+    /// the walk itself *is* the sort (`descending` picks the
+    /// reverse-direction cursor).
     IndexRange {
         pred: RangePred,
         descending: bool,
@@ -273,10 +273,6 @@ pub(crate) fn plan<'tx>(
                 stages.insert(0, Stage::Range(pred));
                 source = SourcePlan::AllNodes;
             }
-            SourcePlan::PropertyEq(name, value) => {
-                stages.insert(0, Stage::Range(RangePred::equality(&name, &value)));
-                source = SourcePlan::AllNodes;
-            }
             other => source = other,
         }
     } else if let Some(Stage::Range(head)) = stages.first() {
@@ -323,13 +319,11 @@ pub(crate) fn plan<'tx>(
 
     // ---- Multi-predicate intersection ----------------------------------
     if pushdown && intersect {
+        // A source predicate that cannot run inside the index (unknown
+        // key, unsatisfiable bounds) makes the pipeline dead; it must stay
+        // in place for the dead check below rather than be dropped.
         let (src_pred, replaceable) = match &source {
-            SourcePlan::IndexRange { pred, .. } => (Some(pred.clone()), true),
-            SourcePlan::PropertyEq(name, value) => {
-                // Equality via `index_key` is exactly the degenerate
-                // one-key range, so the swap preserves semantics.
-                (Some(RangePred::equality(name, value)), true)
-            }
+            SourcePlan::IndexRange { pred, .. } => (Some(pred.clone()), indexable(pred)),
             SourcePlan::AllNodes => (None, true),
             _ => (None, false),
         };
@@ -449,11 +443,6 @@ pub(crate) fn plan<'tx>(
                         };
                         served = true;
                     }
-                    SourcePlan::PropertyEq(name, _) if *name == ord.name => {
-                        // Every row shares the key's single value:
-                        // trivially ordered.
-                        served = true;
-                    }
                     SourcePlan::Intersection {
                         driver,
                         legs,
@@ -539,9 +528,6 @@ pub(crate) fn plan<'tx>(
 
     // ---- Metrics: which path did each predicate compile to? ------------
     match &source {
-        SourcePlan::PropertyEq(name, _) if key_known(name) => {
-            db.metrics.predicate_pushdowns.add(1);
-        }
         SourcePlan::IndexRange { pred, .. } if !pred.is_unbounded() => {
             db.metrics.predicate_pushdowns.add(1);
         }

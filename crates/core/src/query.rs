@@ -18,7 +18,7 @@
 //! Compilation hands the declarative parts of the pipeline to
 //! `crate::plan`, which picks an explicit `SourcePlan`: a predicate at
 //! the head of the pipeline compiles to a **versioned index source**
-//! (equality → posting scan, comparison → range-postings cursor); two or
+//! (a range-postings cursor; equality is its one-key range); two or
 //! more pushdown-able predicates compile to a **sorted-posting
 //! intersection**; an `order_by`/`top_k` whose key matches the source's
 //! sorted walk is **served straight off the index** (no sort buffer, and
@@ -40,7 +40,7 @@ use graphsi_storage::{
 
 use crate::entity::{Direction, Node};
 use crate::error::{DbError, Result};
-use crate::iter::RelEntryIter;
+use crate::iter::{NodeIdIter, RelEntryIter, ScanPred};
 use crate::plan::{NodePredicate, OrderSpec, RangePred, SourcePlan, Stage};
 use crate::transaction::Transaction;
 
@@ -114,24 +114,8 @@ impl<'tx> QueryBuilder<'tx> {
     /// (`PropertyValue::index_key`, so e.g. float `NaN` matches itself).
     /// Repeating the *same* equality the index source already guarantees
     /// is a no-op rather than a redundant per-node re-check.
-    pub fn nodes_with_property(mut self, name: &str, value: PropertyValue) -> Self {
-        if !self.source_set && self.stages.is_empty() {
-            return self.set_source(SourcePlan::PropertyEq(name.to_owned(), value));
-        }
-        if self.stages.is_empty() {
-            if let SourcePlan::PropertyEq(n, v) = &self.source {
-                // The index source already guarantees this exact equality
-                // for every yielded node (committed via the posting list,
-                // pending via the write-set check) — re-filtering would
-                // decode every candidate to re-prove it.
-                if n == name && v.index_key() == value.index_key() {
-                    return self;
-                }
-            }
-        }
-        self.stages
-            .push(Stage::Range(RangePred::equality(name, &value)));
-        self
+    pub fn nodes_with_property(self, name: &str, value: PropertyValue) -> Self {
+        self.range(RangePred::equality(name, &value))
     }
 
     /// Starts from the nodes whose property `name` holds a value inside
@@ -144,17 +128,33 @@ impl<'tx> QueryBuilder<'tx> {
     /// values of its own type, and a half-open range stays within its
     /// bound's type.
     pub fn filter_property_range(
-        mut self,
+        self,
         name: &str,
         range: impl std::ops::RangeBounds<PropertyValue>,
     ) -> Self {
-        let pred = RangePred::from_range(name, range);
+        self.range(RangePred::from_range(name, range))
+    }
+
+    /// A declarative property predicate: the index source when it comes
+    /// first, a plannable stage otherwise.
+    fn range(mut self, pred: RangePred) -> Self {
         if !self.source_set && self.stages.is_empty() {
             return self.set_source(SourcePlan::IndexRange {
                 pred,
                 descending: false,
                 ordered: false,
             });
+        }
+        if self.stages.is_empty() {
+            if let SourcePlan::IndexRange { pred: source, .. } = &self.source {
+                // The index source already guarantees this exact predicate
+                // for every yielded node (committed via the postings,
+                // pending via the write-set check) — re-filtering would
+                // decode every candidate to re-prove it.
+                if *source == pred {
+                    return self;
+                }
+            }
         }
         self.stages.push(Stage::Range(pred));
         self
@@ -390,33 +390,37 @@ impl<'tx> QueryBuilder<'tx> {
         let mut it: BoxedRowIter<'tx> = match plan.source {
             SourcePlan::Empty => Box::new(std::iter::empty()),
             SourcePlan::AllNodes => {
-                row_source(tx.all_nodes_chunked(chunk)?.with_budget(budget, topk))
+                row_source(NodeIdIter::all_nodes(tx, chunk)?.with_budget(budget, topk))
             }
-            SourcePlan::Label(label) => row_source(
-                tx.nodes_with_label_chunked(&label, chunk)?
-                    .with_budget(budget, topk),
-            ),
-            SourcePlan::PropertyEq(name, value) => row_source(
-                tx.nodes_with_property_chunked(&name, &value, chunk)?
-                    .with_budget(budget, topk),
-            ),
+            SourcePlan::Label(label) => {
+                let preds = ScanPred::label(tx, &label).map(|p| vec![p]);
+                row_source(
+                    NodeIdIter::index_scan(tx, preds, chunk, false)?.with_budget(budget, topk),
+                )
+            }
             SourcePlan::IndexRange {
                 pred, descending, ..
-            } => row_source(
-                tx.nodes_with_property_range_chunked(
-                    &pred.name, pred.lo, pred.hi, chunk, descending,
-                )?
-                .with_budget(budget, topk),
-            ),
+            } => {
+                let preds = ScanPred::property(tx, &pred).map(|p| vec![p]);
+                row_source(
+                    NodeIdIter::index_scan(tx, preds, chunk, descending)?.with_budget(budget, topk),
+                )
+            }
             SourcePlan::Intersection {
                 driver,
                 legs,
                 descending,
                 ..
-            } => row_source(
-                tx.nodes_intersection_chunked(&driver, &legs, chunk, descending)?
-                    .with_budget(budget, topk),
-            ),
+            } => {
+                // The first predicate streams; the legs build.
+                let preds = std::iter::once(&driver)
+                    .chain(&legs)
+                    .map(|p| ScanPred::property(tx, p))
+                    .collect();
+                row_source(
+                    NodeIdIter::index_scan(tx, preds, chunk, descending)?.with_budget(budget, topk),
+                )
+            }
             SourcePlan::Fixed(ids) => Box::new(FixedSource {
                 tx,
                 ids: ids.into_iter(),
@@ -1507,6 +1511,33 @@ mod tests {
                 .unwrap(),
             0
         );
+    }
+
+    #[test]
+    fn a_dead_source_predicate_survives_intersection_planning() {
+        let dir = TempDir::new("query_dead_source");
+        let db = GraphDb::open(dir.path(), DbConfig::default()).unwrap();
+        social_graph(&db);
+        let tx = db.begin();
+        // Two pushable stages after a source predicate that no node can
+        // satisfy: the intersection must not replace that source and
+        // forget it.
+        let dead_sources = [
+            tx.query()
+                .nodes_with_property("nope", PropertyValue::Int(1)),
+            tx.query().filter_property_range(
+                "age",
+                PropertyValue::Int(0)..=PropertyValue::String("z".into()),
+            ),
+        ];
+        for query in dead_sources {
+            let rows = query
+                .filter_property_range("age", PropertyValue::Int(20)..)
+                .filter_property_range("age", ..=PropertyValue::Int(40))
+                .count()
+                .unwrap();
+            assert_eq!(rows, 0);
+        }
     }
 
     #[test]

@@ -24,7 +24,10 @@ use crate::config::IsolationLevel;
 use crate::db::{GraphDbInner, RESERVED_PREFIX};
 use crate::entity::{Direction, Node, NodeData, Relationship, RelationshipData};
 use crate::error::{DbError, Result};
-use crate::iter::{NeighborIter, NodeIdIter, RelDetail, RelEntryIter, RelIdIter, RelIter};
+use crate::iter::{
+    NeighborIter, NodeIdIter, RelDetail, RelEntryIter, RelIdIter, RelIter, ScanPred,
+};
+use crate::plan::RangePred;
 use crate::query::QueryBuilder;
 use crate::write_set::WriteSet;
 
@@ -213,7 +216,7 @@ impl Transaction {
         }
     }
 
-    fn ensure_active(&self) -> Result<()> {
+    pub(crate) fn ensure_active(&self) -> Result<()> {
         if self.state == TxnState::Active {
             Ok(())
         } else {
@@ -570,20 +573,6 @@ impl Transaction {
         RelIter::new(self, node, direction, self.scan_chunk_size)
     }
 
-    /// Eager version of [`Transaction::relationships`]: collects into a
-    /// `Vec` sorted by relationship ID.
-    pub fn relationships_vec(
-        &self,
-        node: NodeId,
-        direction: Direction,
-    ) -> Result<Vec<Relationship>> {
-        let mut out: Vec<Relationship> = self
-            .relationships(node, direction)?
-            .collect::<Result<_>>()?;
-        out.sort_by_key(|r| r.id);
-        Ok(out)
-    }
-
     /// Lazily iterates the IDs of the neighbouring nodes of `node`,
     /// deduplicated in visit order.
     pub fn neighbors(&self, node: NodeId, direction: Direction) -> Result<NeighborIter<'_>> {
@@ -615,15 +604,6 @@ impl Transaction {
         RelEntryIter::new(self, node, direction, chunk, RelDetail::Header)
     }
 
-    /// Eager version of [`Transaction::neighbors`]: sorted, deduplicated
-    /// `Vec` of neighbour IDs.
-    pub fn neighbors_vec(&self, node: NodeId, direction: Direction) -> Result<Vec<NodeId>> {
-        let mut out: Vec<NodeId> = self.neighbors(node, direction)?.collect::<Result<_>>()?;
-        out.sort();
-        out.dedup();
-        Ok(out)
-    }
-
     /// Number of relationships touching `node`. Streams over the lazy
     /// iterator, reading relationship headers only.
     pub fn degree(&self, node: NodeId, direction: Direction) -> Result<usize> {
@@ -647,61 +627,17 @@ impl Transaction {
     /// view (versioned index cursor merged with own writes), paging the
     /// posting list one chunk at a time.
     pub fn nodes_with_label(&self, label: &str) -> Result<NodeIdIter<'_>> {
-        self.nodes_with_label_chunked(label, self.scan_chunk_size)
-    }
-
-    pub(crate) fn nodes_with_label_chunked(
-        &self,
-        label: &str,
-        chunk: usize,
-    ) -> Result<NodeIdIter<'_>> {
-        self.ensure_active()?;
-        let Some(token) = self.db.store.tokens().existing_label(label) else {
-            // The label name was never interned, so no committed node and no
-            // pending write can carry it.
-            return Ok(NodeIdIter::empty(self));
-        };
-        Ok(NodeIdIter::with_label(self, token, chunk))
-    }
-
-    /// Eager version of [`Transaction::nodes_with_label`]: sorted `Vec`.
-    pub fn nodes_with_label_vec(&self, label: &str) -> Result<Vec<NodeId>> {
-        let mut out: Vec<NodeId> = self.nodes_with_label(label)?.collect::<Result<_>>()?;
-        out.sort();
-        Ok(out)
+        let pred = ScanPred::label(self, label);
+        NodeIdIter::index_scan(self, pred.map(|p| vec![p]), self.scan_chunk_size, false)
     }
 
     /// Lazily iterates the nodes whose property `name` equals `value` in
     /// this transaction's view, paging the posting list one chunk at a
-    /// time.
+    /// time. Equality is the index's key equality
+    /// (`PropertyValue::index_key`): float `NaN` matches itself and `-0.0`
+    /// does not match `0.0`.
     pub fn nodes_with_property(&self, name: &str, value: &PropertyValue) -> Result<NodeIdIter<'_>> {
-        self.nodes_with_property_chunked(name, value, self.scan_chunk_size)
-    }
-
-    pub(crate) fn nodes_with_property_chunked(
-        &self,
-        name: &str,
-        value: &PropertyValue,
-        chunk: usize,
-    ) -> Result<NodeIdIter<'_>> {
-        self.ensure_active()?;
-        let Some(token) = self.db.store.tokens().existing_property_key(name) else {
-            return Ok(NodeIdIter::empty(self));
-        };
-        Ok(NodeIdIter::with_property(self, token, value.clone(), chunk))
-    }
-
-    /// Eager version of [`Transaction::nodes_with_property`]: sorted `Vec`.
-    pub fn nodes_with_property_vec(
-        &self,
-        name: &str,
-        value: &PropertyValue,
-    ) -> Result<Vec<NodeId>> {
-        let mut out: Vec<NodeId> = self
-            .nodes_with_property(name, value)?
-            .collect::<Result<_>>()?;
-        out.sort();
-        Ok(out)
+        self.property_scan(&RangePred::equality(name, value))
     }
 
     /// Lazily iterates the nodes whose property `name` holds a value
@@ -732,55 +668,12 @@ impl Transaction {
         name: &str,
         range: impl std::ops::RangeBounds<PropertyValue>,
     ) -> Result<NodeIdIter<'_>> {
-        let (lo, hi) = crate::plan::value_range_key_bounds(&range);
-        self.nodes_with_property_range_chunked(name, lo, hi, self.scan_chunk_size, false)
+        self.property_scan(&RangePred::from_range(name, range))
     }
 
-    pub(crate) fn nodes_with_property_range_chunked(
-        &self,
-        name: &str,
-        lo: std::ops::Bound<graphsi_storage::ValueKey>,
-        hi: std::ops::Bound<graphsi_storage::ValueKey>,
-        chunk: usize,
-        descending: bool,
-    ) -> Result<NodeIdIter<'_>> {
-        self.ensure_active()?;
-        let Some(token) = self.db.store.tokens().existing_property_key(name) else {
-            return Ok(NodeIdIter::empty(self));
-        };
-        NodeIdIter::with_property_range(self, token, lo, hi, chunk, descending)
-    }
-
-    /// Sorted-posting merge-intersect source for the query planner: the
-    /// driver predicate streams through its range cursor (ascending or
-    /// descending) while each leg is pre-drained into a sorted build side.
-    /// An unknown property key on any predicate means nothing can match.
-    pub(crate) fn nodes_intersection_chunked(
-        &self,
-        driver: &crate::plan::RangePred,
-        legs: &[crate::plan::RangePred],
-        chunk: usize,
-        descending: bool,
-    ) -> Result<NodeIdIter<'_>> {
-        self.ensure_active()?;
-        let tokens = self.db.store.tokens();
-        let Some(driver_token) = tokens.existing_property_key(&driver.name) else {
-            return Ok(NodeIdIter::empty(self));
-        };
-        let mut leg_preds = Vec::with_capacity(legs.len());
-        for leg in legs {
-            let Some(token) = tokens.existing_property_key(&leg.name) else {
-                return Ok(NodeIdIter::empty(self));
-            };
-            leg_preds.push((token, leg.lo.clone(), leg.hi.clone()));
-        }
-        NodeIdIter::with_intersection(
-            self,
-            (driver_token, driver.lo.clone(), driver.hi.clone()),
-            leg_preds,
-            chunk,
-            descending,
-        )
+    fn property_scan(&self, pred: &RangePred) -> Result<NodeIdIter<'_>> {
+        let pred = ScanPred::property(self, pred);
+        NodeIdIter::index_scan(self, pred.map(|p| vec![p]), self.scan_chunk_size, false)
     }
 
     /// One property of the node visible to this transaction, through the
@@ -839,9 +732,16 @@ impl Transaction {
                 ids.insert(id);
             });
         if let Some(ws) = &self.write_set {
+            // The index's key equality, so own writes agree with postings.
+            let key = value.index_key();
             for (&id, entry) in &ws.relationships {
                 match &entry.after {
-                    Some(after) if after.properties.get(&token) == Some(value) => {
+                    Some(after)
+                        if after
+                            .properties
+                            .get(&token)
+                            .is_some_and(|v| v.index_key() == key) =>
+                    {
                         ids.insert(id);
                     }
                     _ => {
@@ -860,19 +760,7 @@ impl Transaction {
     /// the private write set are merged chunk by chunk, and each candidate
     /// is visibility-checked only when the iterator reaches it.
     pub fn all_nodes(&self) -> Result<NodeIdIter<'_>> {
-        self.all_nodes_chunked(self.scan_chunk_size)
-    }
-
-    pub(crate) fn all_nodes_chunked(&self, chunk: usize) -> Result<NodeIdIter<'_>> {
-        self.ensure_active()?;
-        Ok(NodeIdIter::all_nodes(self, chunk))
-    }
-
-    /// Eager version of [`Transaction::all_nodes`]: sorted `Vec`.
-    pub fn all_nodes_vec(&self) -> Result<Vec<NodeId>> {
-        let mut out: Vec<NodeId> = self.all_nodes()?.collect::<Result<_>>()?;
-        out.sort();
-        Ok(out)
+        NodeIdIter::all_nodes(self, self.scan_chunk_size)
     }
 
     /// Lazily iterates every relationship visible to this transaction,
@@ -881,13 +769,6 @@ impl Transaction {
     pub fn all_relationships(&self) -> Result<RelIdIter<'_>> {
         self.ensure_active()?;
         Ok(RelIdIter::new(self, self.scan_chunk_size))
-    }
-
-    /// Eager version of [`Transaction::all_relationships`]: sorted `Vec`.
-    pub fn all_relationships_vec(&self) -> Result<Vec<RelationshipId>> {
-        let mut out: Vec<RelationshipId> = self.all_relationships()?.collect::<Result<_>>()?;
-        out.sort();
-        Ok(out)
     }
 
     // ------------------------------------------------------------------

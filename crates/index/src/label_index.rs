@@ -5,10 +5,12 @@
 //! multi-versioning of §4 applied so that a reader only sees label
 //! memberships that belong to its snapshot.
 
+use std::ops::Bound;
+
 use graphsi_storage::{LabelToken, NodeId};
 use graphsi_txn::Timestamp;
 
-use crate::posting::{IndexStats, PostingCursor, VersionedPostingIndex};
+use crate::posting::{IndexStats, RangePostingCursor, VersionedPostingIndex};
 
 /// Snapshot-visible index from label tokens to node IDs.
 #[derive(Debug, Default)]
@@ -39,15 +41,20 @@ impl LabelIndex {
     }
 
     /// Opens a chunked, GC-safe cursor over the nodes carrying `label` in
-    /// the snapshot defined by `start_ts` (see
-    /// [`crate::posting::PostingCursor`]).
+    /// the snapshot defined by `start_ts`: the one-key range over `label`
+    /// (see [`RangePostingCursor`]).
     pub fn cursor(
         &self,
         label: LabelToken,
         start_ts: Timestamp,
         chunk_size: usize,
-    ) -> PostingCursor<'_, LabelToken, NodeId> {
-        self.inner.cursor(label, start_ts, chunk_size)
+    ) -> RangePostingCursor<'_, LabelToken, NodeId> {
+        self.inner.range_cursor(
+            Bound::Included(label),
+            Bound::Included(label),
+            start_ts,
+            chunk_size,
+        )
     }
 
     /// Returns `true` if `node` carries `label` in the given snapshot.

@@ -20,8 +20,7 @@ pub mod property_index;
 
 pub use label_index::LabelIndex;
 pub use posting::{
-    bound_as_ref, IndexStats, PostingCursor, PostingEntry, RangePostingCursor,
-    VersionedPostingIndex,
+    bound_as_ref, IndexStats, PostingEntry, RangePostingCursor, VersionedPostingIndex,
 };
 pub use property_index::{
     composite_range_bounds, NodePropertyIndex, PropertyIndex, PropertyIndexKey,

@@ -24,7 +24,8 @@
 //! pages the snapshot-visible members of every key inside a bound pair —
 //! the substrate for pushing comparison predicates (`age >= 30`,
 //! `ts BETWEEN a AND b`) into the index instead of decode-filtering every
-//! candidate.
+//! candidate. [`RangePostingCursor`] is the index's only cursor: a label
+//! or an equality walks the one-key range `Included(k)..=Included(k)`.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -183,40 +184,13 @@ where
         }
     }
 
-    /// Opens a chunked, GC-safe cursor over the visible members of `key`.
-    ///
-    /// The cursor holds no lock between refills and buffers at most
-    /// `chunk_size` entities at a time; each refill re-locates its position
-    /// in the posting list and re-applies snapshot visibility, so postings
-    /// physically reclaimed (or appended) by concurrent GC and commits
-    /// cannot be handed out. A posting *visible* to the cursor's snapshot
-    /// is never reclaimable while that snapshot's transaction is active
-    /// (the GC watermark is at or below every active start timestamp), so
-    /// resumption is lossless.
-    pub fn cursor(
-        &self,
-        key: K,
-        start_ts: Timestamp,
-        chunk_size: usize,
-    ) -> PostingCursor<'_, K, E> {
-        PostingCursor {
-            index: self,
-            key,
-            start_ts,
-            chunk: chunk_size.max(1),
-            marker: None,
-            pos_hint: 0,
-            done: false,
-        }
-    }
-
     /// Opens a chunked, GC-safe cursor over the visible members of every
     /// key inside `(lo, hi)`, walking keys in sort order (the index's
-    /// sorted key dimension). Same resumption contract as
-    /// [`VersionedPostingIndex::cursor`]: no lock is held between refills,
-    /// at most `chunk_size` entities are buffered, and the cursor is
-    /// lossless across GC compaction and concurrent appends — see
-    /// [`RangePostingCursor`].
+    /// sorted key dimension). No lock is held between refills, at most
+    /// `chunk_size` entities are buffered, and the cursor is lossless
+    /// across GC compaction and concurrent appends — see
+    /// [`RangePostingCursor`]. A point lookup is the one-key range
+    /// `Included(k)..=Included(k)`.
     pub fn range_cursor(
         &self,
         lo: Bound<K>,
@@ -294,9 +268,17 @@ where
     }
 
     /// Returns `true` if `entity` is a visible member of `key` for the
-    /// given snapshot.
+    /// given snapshot. Walks the key's posting list in place and stops at
+    /// the first visible match.
     pub fn contains(&self, key: &K, entity: E, start_ts: Timestamp) -> bool {
-        self.lookup(key, start_ts).contains(&entity)
+        let entries = self.entries.read();
+        entries.get(key).is_some_and(|entry| {
+            entry.created_ts.visible_to(start_ts)
+                && entry
+                    .postings
+                    .iter()
+                    .any(|p| p.entity == entity && p.visible_to(start_ts))
+        })
     }
 
     /// Every key currently present (regardless of snapshot visibility).
@@ -363,131 +345,6 @@ where
     }
 }
 
-/// A resumable, chunked cursor over one posting list, created by
-/// [`VersionedPostingIndex::cursor`].
-///
-/// Between [`PostingCursor::next_chunk`] calls the cursor holds **no lock**
-/// and remembers only a resume marker — the `(added_ts, entity)` pair of
-/// the last posting it handed out. Each refill re-locates that marker in
-/// the (possibly GC-compacted, possibly appended-to) posting list and
-/// continues from there:
-///
-/// * postings removed by GC were dead for every active snapshot, so they
-///   were never part of this cursor's result set;
-/// * postings appended by concurrent commits carry a commit timestamp above
-///   the cursor's snapshot and are filtered by visibility;
-/// * the marker posting itself is visible to the snapshot and therefore
-///   not reclaimable while the owning transaction is active.
-pub struct PostingCursor<'a, K, E> {
-    index: &'a VersionedPostingIndex<K, E>,
-    key: K,
-    start_ts: Timestamp,
-    chunk: usize,
-    /// `(added_ts, entity)` of the last yielded posting. `(added_ts,
-    /// entity)` is unique within one key: a single commit adds at most one
-    /// posting per (key, entity), and commit timestamps are distinct.
-    marker: Option<(Timestamp, E)>,
-    /// Index at which the marker posting was last seen. Checked first on
-    /// refill so the common case (no GC compaction in between) resumes in
-    /// O(1) instead of rescanning the list.
-    pos_hint: usize,
-    done: bool,
-}
-
-impl<K, E> PostingCursor<'_, K, E>
-where
-    K: Ord + Clone,
-    E: Copy + Eq,
-{
-    /// The configured chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
-    }
-
-    /// Clamps the next refills to at most `max` entities (floored at 1) —
-    /// the limit-pushdown hook: a consumer that only owes its caller `max`
-    /// more rows has no reason to page a full chunk.
-    pub fn clamp_chunk(&mut self, max: usize) {
-        self.chunk = self.chunk.min(max.max(1));
-    }
-
-    /// Refills `buf` (cleared first) with up to `chunk_size` visible
-    /// entities, resuming after the last posting handed out. Returns
-    /// `false` once the posting list is exhausted and `buf` stayed empty.
-    pub fn next_chunk(&mut self, buf: &mut Vec<E>) -> bool {
-        buf.clear();
-        if self.done {
-            return false;
-        }
-        let entries = self.index.entries.read();
-        let Some(entry) = entries.get(&self.key) else {
-            // Key never existed — or GC dropped it, which requires every
-            // posting to be dead for every active snapshot, ours included.
-            self.done = true;
-            return false;
-        };
-        if !entry.created_ts.visible_to(self.start_ts) {
-            self.done = true;
-            return false;
-        }
-        let postings = &entry.postings;
-        let start = match &self.marker {
-            None => 0,
-            Some((ts, e)) => {
-                let hinted = postings
-                    .get(self.pos_hint)
-                    .is_some_and(|p| p.added_ts == *ts && p.entity == *e);
-                if hinted {
-                    self.pos_hint + 1
-                } else {
-                    match postings
-                        .iter()
-                        .position(|p| p.added_ts == *ts && p.entity == *e)
-                    {
-                        Some(i) => i + 1,
-                        // Defensive: the marker vanished (only possible when
-                        // the cursor outlived its transaction and GC
-                        // reclaimed the posting). Resume at the first
-                        // posting of the marker's commit — the list is
-                        // append-ordered by commit timestamp, and `>=`
-                        // rather than `>` so still-live postings added by
-                        // the same commit as the lost marker are re-yielded
-                        // instead of skipped (duplicates beat lost entries).
-                        None => postings
-                            .iter()
-                            .position(|p| p.added_ts >= *ts)
-                            .unwrap_or(postings.len()),
-                    }
-                }
-            }
-        };
-        for (off, p) in postings[start..].iter().enumerate() {
-            if p.visible_to(self.start_ts) {
-                buf.push(p.entity);
-                self.marker = Some((p.added_ts, p.entity));
-                self.pos_hint = start + off;
-                if buf.len() >= self.chunk {
-                    return true;
-                }
-            }
-        }
-        // Walked off the end of the list: whatever was collected is the
-        // final chunk.
-        self.done = true;
-        !buf.is_empty()
-    }
-}
-
-impl<K, E> std::fmt::Debug for PostingCursor<'_, K, E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PostingCursor")
-            .field("chunk", &self.chunk)
-            .field("start_ts", &self.start_ts)
-            .field("done", &self.done)
-            .finish_non_exhaustive()
-    }
-}
-
 /// `true` when `(lo, hi)` describes a range `BTreeMap::range` accepts (it
 /// panics on inverted bounds and on an equal, doubly-excluded pair — both
 /// of which are simply empty ranges for a cursor).
@@ -518,20 +375,27 @@ pub fn bound_as_ref<K>(bound: &Bound<K>) -> Bound<&K> {
 /// compiles to one of these instead of a decode-based filter over every
 /// candidate entity.
 ///
+/// It is also the index's only cursor: a label or an equality predicate
+/// walks the one-key range `Included(k)..=Included(k)`.
+///
 /// Between [`RangePostingCursor::next_chunk`] calls the cursor holds **no
 /// lock** and remembers only a resume marker — the key of the posting list
 /// it was parked in plus the `(added_ts, entity)` pair of the last posting
-/// it handed out. Each refill re-enters the ordered key map at the marker
-/// key (or the next surviving key, if GC dropped it — legal only when
-/// every posting under it was dead for every active snapshot) and resumes
-/// inside that key's posting list exactly like [`PostingCursor`] does:
+/// it handed out (`(added_ts, entity)` is unique within one key: a commit
+/// adds at most one posting per key and entity, and commit timestamps are
+/// distinct). Each refill re-enters the ordered key map at the marker key
+/// (or the next surviving key, if GC dropped it — legal only when every
+/// posting under it was dead for every active snapshot) and resumes just
+/// past the marker posting in that key's list:
 ///
 /// * keys created after the snapshot, and postings added after it, are
 ///   filtered by visibility, so concurrent commits cannot leak phantoms;
 /// * postings/keys removed by GC were invisible to every active snapshot,
 ///   so nothing this cursor still owes its reader can disappear;
 /// * within one snapshot an entity holds at most one visible value per
-///   property key, so a key-range walk yields each entity at most once.
+///   property key, so a key-range walk yields each entity at most once;
+/// * the marker posting is visible to the snapshot and therefore not
+///   reclaimable while the owning transaction is active.
 pub struct RangePostingCursor<'a, K, E> {
     index: &'a VersionedPostingIndex<K, E>,
     lo: Bound<K>,
@@ -577,7 +441,8 @@ where
         if self.done {
             return false;
         }
-        let entries = self.index.entries.read();
+        let index = self.index;
+        let entries = index.entries.read();
         // Resume at the marker key (inclusive: its list may hold more
         // postings past the marker), or at the range start on first use.
         // Ascending walks clamp the lower bound to the marker; descending
@@ -592,59 +457,81 @@ where
             return false;
         }
         let range = entries.range((lower, upper));
-        let keys: Box<dyn Iterator<Item = (&K, &KeyEntry<E>)>> = if self.descending {
-            Box::new(range.rev())
+        let full = if self.descending {
+            self.fill(range.rev(), buf)
         } else {
-            Box::new(range)
+            self.fill(range, buf)
         };
-        for (key, entry) in keys {
+        self.done = !full;
+        !buf.is_empty()
+    }
+
+    /// Walks `keys` from the resume marker, appending visible postings to
+    /// `buf` until it holds a chunk; `true` if it filled (more may follow).
+    /// The marker is recorded once, for the last posting taken: a key
+    /// exhausted mid-walk leaves it naming an earlier key, and the next
+    /// refill re-enters there and skips what it already delivered.
+    fn fill<'m>(
+        &mut self,
+        keys: impl Iterator<Item = (&'m K, &'m KeyEntry<E>)>,
+        buf: &mut Vec<E>,
+    ) -> bool
+    where
+        K: 'm,
+        E: 'm,
+    {
+        let mut last: Option<(&K, Timestamp, E, usize)> = None;
+        let mut full = false;
+        'keys: for (key, entry) in keys {
             if !entry.created_ts.visible_to(self.start_ts) {
                 continue;
             }
             let postings = &entry.postings;
             let start = match &self.marker {
                 Some((marker_key, ts, e)) if marker_key == key => {
-                    let hinted = postings
-                        .get(self.pos_hint)
-                        .is_some_and(|p| p.added_ts == *ts && p.entity == *e);
-                    if hinted {
-                        self.pos_hint + 1
-                    } else {
-                        match postings
-                            .iter()
-                            .position(|p| p.added_ts == *ts && p.entity == *e)
-                        {
-                            Some(i) => i + 1,
-                            // Marker posting reclaimed (cursor outlived its
-                            // transaction): resume at the marker's commit,
-                            // preferring re-yields over lost entries — same
-                            // stance as `PostingCursor`.
-                            None => postings
-                                .iter()
-                                .position(|p| p.added_ts >= *ts)
-                                .unwrap_or(postings.len()),
-                        }
-                    }
+                    self.resume_position(postings, *ts, *e)
                 }
                 _ => 0,
             };
-            for (off, p) in postings[start..].iter().enumerate() {
+            for (pos, p) in postings.iter().enumerate().skip(start) {
                 if p.visible_to(self.start_ts) {
                     buf.push(p.entity);
-                    self.marker = Some((key.clone(), p.added_ts, p.entity));
-                    self.pos_hint = start + off;
+                    last = Some((key, p.added_ts, p.entity, pos));
                     if buf.len() >= self.chunk {
-                        return true;
+                        full = true;
+                        break 'keys;
                     }
                 }
             }
-            // Key exhausted: fall through to the next key in range. The
-            // marker still names the last *yielded* posting, which may live
-            // under an earlier key — resumption re-enters at that key and
-            // walks forward, skipping already-delivered postings.
         }
-        self.done = true;
-        !buf.is_empty()
+        if let Some((key, ts, e, pos)) = last {
+            self.marker = Some((key.clone(), ts, e));
+            self.pos_hint = pos;
+        }
+        full
+    }
+
+    /// Where to resume inside the marker key's posting list: just past the
+    /// marker posting, found at its last position in O(1) unless GC
+    /// compacted the list in between.
+    fn resume_position(&self, postings: &[PostingEntry<E>], ts: Timestamp, e: E) -> usize {
+        let is_marker = |p: &PostingEntry<E>| p.added_ts == ts && p.entity == e;
+        if postings.get(self.pos_hint).is_some_and(is_marker) {
+            return self.pos_hint + 1;
+        }
+        match postings.iter().position(is_marker) {
+            Some(i) => i + 1,
+            // The marker posting was reclaimed, which is only possible when
+            // the cursor outlived its transaction. Resume at the first
+            // posting of the marker's commit — the list is append-ordered
+            // by commit timestamp, and `>=` rather than `>` so still-live
+            // postings the same commit added are re-yielded instead of
+            // skipped (duplicates beat lost entries).
+            None => postings
+                .iter()
+                .position(|p| p.added_ts >= ts)
+                .unwrap_or(postings.len()),
+        }
     }
 }
 
@@ -791,6 +678,16 @@ mod tests {
         assert_eq!(keys, vec![1, 2]);
     }
 
+    /// The one-key range a label or equality predicate walks.
+    fn point_cursor(
+        index: &Index,
+        key: u32,
+        start_ts: Timestamp,
+        chunk: usize,
+    ) -> RangePostingCursor<'_, u32, u64> {
+        index.range_cursor(Bound::Included(key), Bound::Included(key), start_ts, chunk)
+    }
+
     #[test]
     fn cursor_pages_through_visible_postings() {
         let index = Index::new();
@@ -799,7 +696,7 @@ mod tests {
         }
         // e=3 removed before the snapshot, e=9 added after it.
         index.remove(&1, 3, Timestamp(8));
-        let mut cursor = index.cursor(1, Timestamp(8), 3);
+        let mut cursor = point_cursor(&index, 1, Timestamp(8), 3);
         let mut buf = Vec::new();
         let mut out = Vec::new();
         while cursor.next_chunk(&mut buf) {
@@ -822,7 +719,7 @@ mod tests {
         index.remove(&1, 0, Timestamp(7));
         index.remove(&1, 2, Timestamp(7));
 
-        let mut cursor = index.cursor(1, Timestamp(10), 2);
+        let mut cursor = point_cursor(&index, 1, Timestamp(10), 2);
         let mut buf = Vec::new();
         assert!(cursor.next_chunk(&mut buf));
         assert_eq!(buf, vec![1, 3]);
@@ -845,9 +742,36 @@ mod tests {
         let index = Index::new();
         index.add(5, 1, Timestamp(50));
         let mut buf = Vec::new();
-        assert!(!index.cursor(9, Timestamp(100), 4).next_chunk(&mut buf));
+        assert!(!point_cursor(&index, 9, Timestamp(100), 4).next_chunk(&mut buf));
         // Key created after the snapshot: discarded wholesale.
-        assert!(!index.cursor(5, Timestamp(40), 4).next_chunk(&mut buf));
+        assert!(!point_cursor(&index, 5, Timestamp(40), 4).next_chunk(&mut buf));
+    }
+
+    #[test]
+    fn cursor_resumes_after_losing_its_marker() {
+        let index = Index::new();
+        index.add(1, 10, Timestamp(1));
+        index.add(1, 20, Timestamp(2));
+        index.add(1, 21, Timestamp(2));
+        index.add(1, 30, Timestamp(3));
+
+        let mut cursor = point_cursor(&index, 1, Timestamp(10), 3);
+        let mut buf = Vec::new();
+        assert!(cursor.next_chunk(&mut buf));
+        assert_eq!(buf, vec![10, 20, 21]);
+        // The cursor outlives its transaction: the marker posting (21) is
+        // removed and reclaimed behind it.
+        index.remove(&1, 21, Timestamp(20));
+        assert_eq!(index.gc(Timestamp(20)), 1);
+
+        let mut out = buf.clone();
+        while cursor.next_chunk(&mut buf) {
+            out.extend_from_slice(&buf);
+        }
+        // Resumption restarts at the marker's commit: 20 (same commit) is
+        // handed out again rather than risk skipping anything; 30 is not
+        // lost.
+        assert_eq!(out, vec![10, 20, 21, 20, 30]);
     }
 
     #[test]
@@ -856,7 +780,7 @@ mod tests {
         for e in 0..4u64 {
             index.add(1, e, Timestamp(e + 1));
         }
-        let mut cursor = index.cursor(1, Timestamp(100), 1);
+        let mut cursor = point_cursor(&index, 1, Timestamp(100), 1);
         assert_eq!(cursor.chunk_size(), 1);
         let mut buf = Vec::new();
         let mut count = 0;

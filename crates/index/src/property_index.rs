@@ -11,7 +11,7 @@ use std::ops::Bound;
 use graphsi_storage::{NodeId, PropertyKeyToken, PropertyValue, RelationshipId, ValueKey};
 use graphsi_txn::Timestamp;
 
-use crate::posting::{IndexStats, PostingCursor, RangePostingCursor, VersionedPostingIndex};
+use crate::posting::{IndexStats, RangePostingCursor, VersionedPostingIndex};
 
 /// Index key: a property key token plus the canonical form of the value.
 pub type PropertyIndexKey = (PropertyKeyToken, ValueKey);
@@ -137,17 +137,23 @@ impl<E: Copy + Eq> PropertyIndex<E> {
     }
 
     /// Opens a chunked, GC-safe cursor over the entities whose property
-    /// `key` equals `value` in the snapshot defined by `start_ts` (see
-    /// [`crate::posting::PostingCursor`]).
+    /// `key` equals `value` in the snapshot defined by `start_ts`: the
+    /// one-key range over `(key, value)` (see [`RangePostingCursor`]).
     pub fn cursor(
         &self,
         key: PropertyKeyToken,
         value: &PropertyValue,
         start_ts: Timestamp,
         chunk_size: usize,
-    ) -> PostingCursor<'_, PropertyIndexKey, E> {
-        self.inner
-            .cursor((key, value.index_key()), start_ts, chunk_size)
+    ) -> RangePostingCursor<'_, PropertyIndexKey, E> {
+        let point = value.index_key();
+        self.range_cursor(
+            key,
+            Bound::Included(&point),
+            Bound::Included(&point),
+            start_ts,
+            chunk_size,
+        )
     }
 
     /// Opens a chunked, GC-safe **range cursor** over the entities whose

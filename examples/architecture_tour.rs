@@ -79,14 +79,14 @@ fn main() -> Result<()> {
 
     // Layer 4: versioned indexes --------------------------------------------
     let tx = db.begin();
-    println!(
-        "\n[index] nodes with label Person: {:?}",
-        tx.nodes_with_label_vec("Person")?
-    );
-    println!(
-        "[index] nodes with name = \"Bert\": {:?}",
-        tx.nodes_with_property_vec("name", &PropertyValue::from("Bert"))?
-    );
+    let mut people: Vec<_> = tx.nodes_with_label("Person")?.collect::<Result<_>>()?;
+    people.sort();
+    println!("\n[index] nodes with label Person: {people:?}");
+    let mut berts: Vec<_> = tx
+        .nodes_with_property("name", &PropertyValue::from("Bert"))?
+        .collect::<Result<_>>()?;
+    berts.sort();
+    println!("[index] nodes with name = \"Bert\": {berts:?}");
     drop(tx);
 
     // Layer 5: garbage collection -------------------------------------------

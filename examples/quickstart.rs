@@ -44,7 +44,8 @@ fn main() -> Result<()> {
 
     // --- Read-only transaction (a stable snapshot, zero lock-manager calls)
     let tx = db.txn().read_only().begin();
-    let people = tx.nodes_with_label_vec("Person")?;
+    let mut people: Vec<_> = tx.nodes_with_label("Person")?.collect::<Result<_>>()?;
+    people.sort();
     println!("{} people in the snapshot", people.len());
     for id in people {
         let node = tx.get_node(id)?.expect("node visible");

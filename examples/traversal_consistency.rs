@@ -41,7 +41,10 @@ fn run(isolation: IsolationLevel) -> Result<()> {
     // disconnected and removed.
     let mut vandal = db.begin();
     let victim = mids[2];
-    for rel in vandal.relationships_vec(victim, Direction::Both)? {
+    let rels: Vec<_> = vandal
+        .relationships(victim, Direction::Both)?
+        .collect::<Result<_>>()?;
+    for rel in rels {
         vandal.delete_relationship(rel.id)?;
     }
     vandal.delete_node(victim)?;

@@ -85,7 +85,11 @@ fn unrepeatable_traversal_two_step_algorithm() {
         let mut vandal = db.begin();
         vandal.delete_relationship(hub_m1).unwrap();
         // m1 still has the edge to leaf1; remove it too, then the node.
-        let m1_rels = vandal.relationships_vec(m1, Direction::Both).unwrap();
+        let m1_rels: Vec<_> = vandal
+            .relationships(m1, Direction::Both)
+            .unwrap()
+            .collect::<graphsi_core::Result<_>>()
+            .unwrap();
         for rel in m1_rels {
             vandal.delete_relationship(rel.id).unwrap();
         }
@@ -130,7 +134,12 @@ fn phantom_read_on_label_predicate() {
         let mut writer = db.begin();
         writer.create_node(&["Person"], &[]).unwrap();
         writer.create_node(&["Person"], &[]).unwrap();
-        let victim = writer.nodes_with_label_vec("Person").unwrap()[0];
+        let victim = writer
+            .nodes_with_label("Person")
+            .unwrap()
+            .map(Result::unwrap)
+            .min()
+            .unwrap();
         writer.remove_label(victim, "Person").unwrap();
         writer.commit().unwrap();
 
@@ -352,7 +361,11 @@ fn friends_of_friends_is_stable_under_si() {
     writer
         .create_relationship(friends[0], extra, "KNOWS", &[])
         .unwrap();
-    let doomed_rels = writer.relationships_vec(fofs[1], Direction::Both).unwrap();
+    let doomed_rels: Vec<_> = writer
+        .relationships(fofs[1], Direction::Both)
+        .unwrap()
+        .collect::<graphsi_core::Result<_>>()
+        .unwrap();
     for rel in doomed_rels {
         writer.delete_relationship(rel.id).unwrap();
     }

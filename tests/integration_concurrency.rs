@@ -355,7 +355,11 @@ fn observe(tx: &graphsi_core::Transaction, node: NodeId) -> Observation {
         })
         .collect();
     rels.sort_by_key(|(id, _)| *id);
-    let mut neighbors = tx.neighbors_vec(node, Direction::Both).unwrap();
+    let mut neighbors: Vec<NodeId> = tx
+        .neighbors(node, Direction::Both)
+        .unwrap()
+        .collect::<graphsi_core::Result<_>>()
+        .unwrap();
     neighbors.sort();
     let mut two_hop = tx
         .query()

@@ -17,6 +17,14 @@ use graphsi_core::{DbConfig, Direction, GraphDb, NodeId, PropertyValue, Transact
 
 const CHUNK_SIZES: &[usize] = &[1, 2, DbConfig::DEFAULT_SCAN_CHUNK_SIZE];
 
+/// Drains a lazy scan into a sorted `Vec` (scans stream in no particular
+/// order).
+fn sorted_scan<T: Ord>(scan: impl Iterator<Item = graphsi_core::Result<T>>) -> Vec<T> {
+    let mut out: Vec<T> = scan.collect::<graphsi_core::Result<_>>().unwrap();
+    out.sort();
+    out
+}
+
 fn open(dir: &TempDir) -> GraphDb {
     GraphDb::open(dir.path(), DbConfig::default()).unwrap()
 }
@@ -275,9 +283,7 @@ fn whole_graph_scan_buffering_is_chunk_bounded_under_shard_skew() {
     // only in the (single-shard) cache.
     let old_reader = db.txn().read_only().begin();
     let mut tx = db.begin();
-    let victims: Vec<NodeId> = old_reader
-        .all_nodes_vec()
-        .unwrap()
+    let victims: Vec<NodeId> = sorted_scan(old_reader.all_nodes().unwrap())
         .into_iter()
         .step_by(2)
         .collect();
@@ -323,12 +329,11 @@ fn every_read_surface_is_chunk_size_invariant() {
 
     let snapshot = |tx: &Transaction| {
         (
-            tx.nodes_with_label_vec("N").unwrap(),
-            tx.nodes_with_property_vec("k", &PropertyValue::Int(1))
-                .unwrap(),
-            tx.all_nodes_vec().unwrap(),
-            tx.all_relationships_vec().unwrap(),
-            tx.neighbors_vec(hub, Direction::Both).unwrap(),
+            sorted_scan(tx.nodes_with_label("N").unwrap()),
+            sorted_scan(tx.nodes_with_property("k", &PropertyValue::Int(1)).unwrap()),
+            sorted_scan(tx.all_nodes().unwrap()),
+            sorted_scan(tx.all_relationships().unwrap()),
+            sorted_scan(tx.neighbors(hub, Direction::Both).unwrap()),
             graphsi_core::traversal::bfs(tx, hub, 3).unwrap(),
         )
     };

@@ -198,9 +198,9 @@ fn pipeline_keeps_flowing_around_failed_syncs() {
     );
     for i in acknowledged {
         assert_eq!(
-            tx.nodes_with_property_vec("i", &PropertyValue::Int(i))
+            tx.nodes_with_property("i", &PropertyValue::Int(i))
                 .unwrap()
-                .len(),
+                .count(),
             1,
             "acknowledged commit {i} lost"
         );

@@ -201,14 +201,18 @@ fn index_postings_are_reclaimed_once_unobservable() {
     assert!(summary.index_postings_reclaimed >= 9);
     let tx = db.begin();
     assert_eq!(
-        tx.nodes_with_property_vec("age", &PropertyValue::Int(10))
+        tx.nodes_with_property("age", &PropertyValue::Int(10))
+            .unwrap()
+            .collect::<graphsi_core::Result<Vec<_>>>()
             .unwrap(),
         vec![node]
     );
-    assert!(tx
-        .nodes_with_property_vec("age", &PropertyValue::Int(5))
-        .unwrap()
-        .is_empty());
+    assert_eq!(
+        tx.nodes_with_property("age", &PropertyValue::Int(5))
+            .unwrap()
+            .count(),
+        0
+    );
 }
 
 #[test]

@@ -174,7 +174,10 @@ fn verifier_finds_nothing_on_a_clean_db_under_concurrent_writers() {
                         let victim = mine.remove(0);
                         with_retry(&db, |tx| {
                             // Relationships must be gone before the node.
-                            for rel in tx.relationships_vec(victim, Direction::Both)? {
+                            let rels: Vec<_> = tx
+                                .relationships(victim, Direction::Both)?
+                                .collect::<graphsi_core::Result<_>>()?;
+                            for rel in rels {
                                 tx.delete_relationship(rel.id)?;
                             }
                             tx.delete_node(victim)

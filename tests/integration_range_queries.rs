@@ -594,3 +594,213 @@ fn typed_and_half_open_bounds_agree_across_paths() {
         .unwrap();
     assert_eq!(sorted(direct), ge4);
 }
+
+/// Equality is the index's key equality on every path: float `NaN`
+/// matches itself and `-0.0` does not match `0.0`, whether the node is
+/// committed, pending in the reading transaction, or committed and then
+/// touched by it — and whether the scan runs inside the index or as a
+/// decode filter.
+#[test]
+fn float_equality_is_key_equality_on_every_path() {
+    let dir = TempDir::new("range_float_eq");
+    let db = open(&dir);
+    let mut tx = db.begin();
+    let nan = tx
+        .create_node(&["F"], &[("x", PropertyValue::Float(f64::NAN))])
+        .unwrap();
+    let hub = tx.create_node(&["F"], &[]).unwrap();
+    let nan_rel = tx
+        .create_relationship(hub, nan, "T", &[("w", PropertyValue::Float(f64::NAN))])
+        .unwrap();
+    tx.commit().unwrap();
+
+    let paths = |tx: &Transaction, x: f64| -> Vec<Vec<NodeId>> {
+        let value = PropertyValue::Float(x);
+        let query = |pushdown: bool| {
+            sorted(
+                tx.query()
+                    .nodes_with_property("x", value.clone())
+                    .pushdown(pushdown)
+                    .ids()
+                    .unwrap(),
+            )
+        };
+        let direct: Vec<NodeId> = tx
+            .nodes_with_property("x", &value)
+            .unwrap()
+            .collect::<graphsi_core::Result<_>>()
+            .unwrap();
+        vec![query(true), query(false), sorted(direct)]
+    };
+
+    // A committed NaN node the transaction only relabels stays a NaN match,
+    // and so does a NaN relationship it only touches.
+    let mut w = db.begin();
+    w.add_label(nan, "G").unwrap();
+    w.set_relationship_property(nan_rel, "seen", PropertyValue::Bool(true))
+        .unwrap();
+    for ids in paths(&w, f64::NAN) {
+        assert_eq!(ids, vec![nan], "relabelled NaN node");
+    }
+    assert_eq!(
+        w.relationships_with_property("w", &PropertyValue::Float(f64::NAN))
+            .unwrap(),
+        vec![nan_rel],
+        "touched NaN relationship"
+    );
+
+    // A pending -0.0 node matches -0.0 and not 0.0 ...
+    let neg = w
+        .create_node(&["F"], &[("x", PropertyValue::Float(-0.0))])
+        .unwrap();
+    for ids in paths(&w, 0.0) {
+        assert_eq!(ids, Vec::<NodeId>::new(), "pending -0.0 node against 0.0");
+    }
+    for ids in paths(&w, -0.0) {
+        assert_eq!(ids, vec![neg], "pending -0.0 node against -0.0");
+    }
+    w.commit().unwrap();
+
+    // ... and reads the same once committed.
+    let r = db.txn().read_only().begin();
+    for ids in paths(&r, 0.0) {
+        assert_eq!(ids, Vec::<NodeId>::new(), "committed -0.0 node against 0.0");
+    }
+    for ids in paths(&r, -0.0) {
+        assert_eq!(ids, vec![neg], "committed -0.0 node against -0.0");
+    }
+    for ids in paths(&r, f64::NAN) {
+        assert_eq!(ids, vec![nan], "committed NaN node");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        ..ProptestConfig::default()
+    })]
+
+    /// The one write-set merge behind every index source. A read-write
+    /// transaction over committed nodes applies random own writes —
+    /// create, delete, set or remove `score`, add or remove the `Hot`
+    /// label — and then the label, equality, range and two-predicate
+    /// intersection sources each equal the decode path and a brute-force
+    /// recomputation from per-node reads, at chunk size 1 and at the
+    /// default.
+    #[test]
+    fn own_writes_merge_into_every_index_source(
+            ops in proptest::collection::vec((0..24usize, 0..6usize, -3i64..8), 1..30),
+            lo in -2i64..6,
+            width in 0i64..4,
+        ) {
+            let dir = TempDir::new("range_own_writes");
+            let db = open(&dir);
+            let hi = lo + width;
+
+            let mut tx = db.begin();
+            let mut nodes: Vec<NodeId> = (0..16i64)
+                .map(|i| {
+                    let labels: &[&str] = if i % 2 == 0 { &["P", "Hot"] } else { &["P"] };
+                    tx.create_node(
+                        labels,
+                        &[
+                            ("score", PropertyValue::Int(i % 6)),
+                            ("flag", PropertyValue::Int(i % 3)),
+                        ],
+                    )
+                    .unwrap()
+                })
+                .collect();
+            tx.commit().unwrap();
+            let mut alive = vec![true; nodes.len()];
+
+            let mut tx = db.begin();
+            for &(slot, kind, value) in &ops {
+                let slot = slot % nodes.len();
+                let node = nodes[slot];
+                match kind {
+                    0 => {
+                        let id = tx
+                            .create_node(
+                                &["P", "Hot"],
+                                &[
+                                    ("score", PropertyValue::Int(value)),
+                                    ("flag", PropertyValue::Int(value.rem_euclid(3))),
+                                ],
+                            )
+                            .unwrap();
+                        nodes.push(id);
+                        alive.push(true);
+                    }
+                    _ if !alive[slot] => {}
+                    1 => {
+                        tx.delete_node(node).unwrap();
+                        alive[slot] = false;
+                    }
+                    2 => tx
+                        .set_node_property(node, "score", PropertyValue::Int(value))
+                        .unwrap(),
+                    3 => tx.remove_node_property(node, "score").unwrap(),
+                    4 => tx.add_label(node, "Hot").unwrap(),
+                    _ => tx.remove_label(node, "Hot").unwrap(),
+                }
+            }
+
+            let int = |n: NodeId, name: &str| {
+                tx.node_property(n, name).unwrap().and_then(|v| v.as_int())
+            };
+            let brute = |keep: &dyn Fn(NodeId) -> bool| -> Vec<NodeId> {
+                sorted(
+                    nodes
+                        .iter()
+                        .copied()
+                        .filter(|&n| tx.node_exists(n).unwrap() && keep(n))
+                        .collect(),
+                )
+            };
+            let hot = brute(&|n| tx.node_has_label(n, "Hot").unwrap());
+            let equal = brute(&|n| int(n, "score") == Some(lo));
+            let in_range = brute(&|n| int(n, "score").is_some_and(|s| (lo..=hi).contains(&s)));
+            let both = brute(&|n| {
+                int(n, "score").is_some_and(|s| (lo..=hi).contains(&s)) && int(n, "flag") == Some(0)
+            });
+
+            let score_range = || PropertyValue::Int(lo)..=PropertyValue::Int(hi);
+            let flag_zero = || PropertyValue::Int(0)..=PropertyValue::Int(0);
+            for chunk in [1, DbConfig::DEFAULT_SCAN_CHUNK_SIZE] {
+                for pushdown in [true, false] {
+                    let ids = |q: graphsi_core::QueryBuilder<'_>| {
+                        sorted(q.chunk_size(chunk).pushdown(pushdown).ids().unwrap())
+                    };
+                    prop_assert_eq!(&ids(tx.query().nodes_with_label("Hot")), &hot);
+                    prop_assert_eq!(
+                        &ids(tx.query().nodes_with_property("score", PropertyValue::Int(lo))),
+                        &equal
+                    );
+                    prop_assert_eq!(
+                        &ids(tx.query().filter_property_range("score", score_range())),
+                        &in_range
+                    );
+                    let before = db.metrics().intersection_pushdowns;
+                    prop_assert_eq!(
+                        &ids(tx
+                            .query()
+                            .filter_property_range("score", score_range())
+                            .filter_property_range("flag", flag_zero())),
+                        &both
+                    );
+                    prop_assert_eq!(
+                        db.metrics().intersection_pushdowns > before,
+                        pushdown,
+                        "the conjunction compiles to an intersection exactly when pushed down"
+                    );
+                }
+                // The label's decode path: a whole-graph scan with a label filter.
+                prop_assert_eq!(
+                    &sorted(tx.query().all_nodes().has_label("Hot").chunk_size(chunk).ids().unwrap()),
+                    &hot
+                );
+            }
+            tx.rollback();
+        }
+}

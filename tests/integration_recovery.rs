@@ -117,7 +117,12 @@ fn committed_data_survives_reopen_without_checkpoint() {
     let r = tx.get_relationship(rel).unwrap().expect("rel recovered");
     assert_eq!(r.target, bob);
     assert_eq!(r.property("w"), Some(&PropertyValue::Float(0.5)));
-    assert_eq!(tx.neighbors_vec(alice, Direction::Both).unwrap(), vec![bob]);
+    let neighbors: Vec<NodeId> = tx
+        .neighbors(alice, Direction::Both)
+        .unwrap()
+        .collect::<graphsi_core::Result<_>>()
+        .unwrap();
+    assert_eq!(neighbors, vec![bob]);
 }
 
 #[test]
@@ -275,9 +280,9 @@ fn repeated_reopen_cycles_are_stable() {
     assert_eq!(tx.node_count().unwrap(), expected_nodes);
     for round in 0..5i64 {
         assert_eq!(
-            tx.nodes_with_property_vec("round", &PropertyValue::Int(round))
+            tx.nodes_with_property("round", &PropertyValue::Int(round))
                 .unwrap()
-                .len(),
+                .count(),
             1
         );
     }
@@ -392,7 +397,12 @@ fn torn_tail_past_last_group_sync_is_truncated() {
     let db = GraphDb::open(dir.path(), group_commit_config()).unwrap();
     let tx = db.txn().read_only().begin();
     assert_eq!(tx.nodes_with_label("Keep").unwrap().count(), 2);
-    assert_eq!(tx.neighbors_vec(a, Direction::Both).unwrap(), vec![b]);
+    let neighbors: Vec<NodeId> = tx
+        .neighbors(a, Direction::Both)
+        .unwrap()
+        .collect::<graphsi_core::Result<_>>()
+        .unwrap();
+    assert_eq!(neighbors, vec![b]);
     // The torn bytes are gone: committing and reopening again works.
     let mut tx = db.begin();
     tx.set_node_property(a, "v", PropertyValue::Int(2)).unwrap();
@@ -448,7 +458,11 @@ fn group_commit_replay_is_idempotent_over_flushed_store() {
             "round {round}"
         );
         assert_eq!(tx.degree(hub, Direction::Both).unwrap(), spokes.len());
-        let neighbors = tx.neighbors_vec(hub, Direction::Both).unwrap();
+        let neighbors: Vec<NodeId> = tx
+            .neighbors(hub, Direction::Both)
+            .unwrap()
+            .collect::<graphsi_core::Result<_>>()
+            .unwrap();
         for spoke in &spokes {
             assert!(neighbors.contains(spoke), "round {round}");
         }
@@ -482,7 +496,11 @@ fn relationship_chains_survive_partial_flush_plus_replay() {
     }
     let db = GraphDb::open(dir.path(), config()).unwrap();
     let tx = db.begin();
-    let neighbors = tx.neighbors_vec(hub, Direction::Both).unwrap();
+    let neighbors: Vec<NodeId> = tx
+        .neighbors(hub, Direction::Both)
+        .unwrap()
+        .collect::<graphsi_core::Result<_>>()
+        .unwrap();
     assert_eq!(neighbors.len(), spokes.len());
     for spoke in &spokes {
         assert!(neighbors.contains(spoke));

@@ -100,10 +100,9 @@ fn store_digest(db: &GraphDb, nodes: &[NodeId]) -> Vec<(i64, Option<i64>, Vec<i6
             other => panic!("unexpected value {other:?}"),
         };
         let mut neighbors: Vec<i64> = tx
-            .neighbors_vec(node, Direction::Both)
+            .neighbors(node, Direction::Both)
             .unwrap()
-            .into_iter()
-            .map(|n| seed_of[&n])
+            .map(|n| seed_of[&n.unwrap()])
             .collect();
         neighbors.sort_unstable();
         out.push((seed_of[&node], value, neighbors));
@@ -300,7 +299,10 @@ fn overlapping_commits_race_checkpoints_and_recovery_replay() {
     );
     for &(hub, spoke) in acked.iter() {
         assert_eq!(
-            tx.neighbors_vec(spoke, Direction::Both).unwrap(),
+            tx.neighbors(spoke, Direction::Both)
+                .unwrap()
+                .collect::<graphsi_core::Result<Vec<_>>>()
+                .unwrap(),
             vec![hubs[hub]],
             "an acknowledged splice was lost or rewired"
         );

@@ -5,6 +5,14 @@
 use graphsi_core::test_support::TempDir;
 use graphsi_core::{ConflictStrategy, DbConfig, Direction, GraphDb, IsolationLevel, PropertyValue};
 
+/// Drains a lazy scan into a sorted `Vec` (scans stream in no particular
+/// order).
+fn sorted_scan<T: Ord>(scan: impl Iterator<Item = graphsi_core::Result<T>>) -> Vec<T> {
+    let mut out: Vec<T> = scan.collect::<graphsi_core::Result<_>>().unwrap();
+    out.sort();
+    out
+}
+
 fn open_si(dir: &TempDir) -> GraphDb {
     GraphDb::open(dir.path(), DbConfig::default()).expect("open db")
 }
@@ -39,7 +47,10 @@ fn committed_data_is_visible_to_later_transactions() {
     assert_eq!(rel.rel_type, "KNOWS");
     assert_eq!(rel.source, alice);
     assert_eq!(rel.target, bob);
-    assert_eq!(tx.neighbors_vec(alice, Direction::Both).unwrap(), vec![bob]);
+    assert_eq!(
+        sorted_scan(tx.neighbors(alice, Direction::Both).unwrap()),
+        vec![bob]
+    );
     assert_eq!(tx.degree(bob, Direction::Both).unwrap(), 1);
 }
 
@@ -72,7 +83,10 @@ fn uncommitted_writes_are_private_but_readable_by_the_writer() {
     );
     assert_eq!(writer.degree(fresh, Direction::Both).unwrap(), 1);
     assert!(writer.get_relationship(pending_rel).unwrap().is_some());
-    assert_eq!(writer.nodes_with_label_vec("Person").unwrap(), vec![fresh]);
+    assert_eq!(
+        sorted_scan(writer.nodes_with_label("Person").unwrap()),
+        vec![fresh]
+    );
 
     // ...while a concurrent reader sees none of it.
     let reader = db.begin();
@@ -153,7 +167,10 @@ fn snapshot_readers_still_see_entities_deleted_after_their_start() {
     // The old snapshot still sees both.
     assert!(reader.node_exists(b).unwrap());
     assert!(reader.get_relationship(rel).unwrap().is_some());
-    assert_eq!(reader.neighbors_vec(a, Direction::Both).unwrap(), vec![b]);
+    assert_eq!(
+        sorted_scan(reader.neighbors(a, Direction::Both).unwrap()),
+        vec![b]
+    );
     drop(reader);
 
     // A fresh snapshot does not.
@@ -309,28 +326,40 @@ fn label_and_property_index_lookups_respect_snapshots() {
     tx.commit().unwrap();
 
     // Old snapshot: only `a`, with its old label and value.
-    assert_eq!(old_reader.nodes_with_label_vec("Person").unwrap(), vec![a]);
     assert_eq!(
-        old_reader
-            .nodes_with_property_vec("age", &PropertyValue::Int(30))
-            .unwrap(),
+        sorted_scan(old_reader.nodes_with_label("Person").unwrap()),
+        vec![a]
+    );
+    assert_eq!(
+        sorted_scan(
+            old_reader
+                .nodes_with_property("age", &PropertyValue::Int(30))
+                .unwrap()
+        ),
         vec![a]
     );
     drop(old_reader);
 
     // New snapshot: only `b` matches both predicates now.
     let fresh = db.begin();
-    assert_eq!(fresh.nodes_with_label_vec("Person").unwrap(), vec![b]);
     assert_eq!(
-        fresh
-            .nodes_with_property_vec("age", &PropertyValue::Int(30))
-            .unwrap(),
+        sorted_scan(fresh.nodes_with_label("Person").unwrap()),
         vec![b]
     );
     assert_eq!(
-        fresh
-            .nodes_with_property_vec("age", &PropertyValue::Int(31))
-            .unwrap(),
+        sorted_scan(
+            fresh
+                .nodes_with_property("age", &PropertyValue::Int(30))
+                .unwrap()
+        ),
+        vec![b]
+    );
+    assert_eq!(
+        sorted_scan(
+            fresh
+                .nodes_with_property("age", &PropertyValue::Int(31))
+                .unwrap()
+        ),
         vec![a]
     );
 }

@@ -81,11 +81,13 @@ fn read_only_transactions_never_touch_the_lock_manager() {
     assert!(reader.node_exists(hub).unwrap());
     assert_eq!(reader.degree(hub, Direction::Both).unwrap(), 1);
     assert_eq!(reader.nodes_with_label("Hub").unwrap().count(), 2);
-    assert_eq!(reader.all_nodes_vec().unwrap().len(), 2);
-    assert_eq!(
-        reader.neighbors_vec(hub, Direction::Both).unwrap(),
-        vec![spoke]
-    );
+    assert_eq!(reader.all_nodes().unwrap().count(), 2);
+    let neighbors: Vec<_> = reader
+        .neighbors(hub, Direction::Both)
+        .unwrap()
+        .collect::<graphsi_core::Result<_>>()
+        .unwrap();
+    assert_eq!(neighbors, vec![spoke]);
     reader.commit().unwrap();
 
     let locks_after = db.lock_stats();
