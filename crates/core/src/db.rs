@@ -109,8 +109,9 @@ pub(crate) struct GraphDbInner {
     pipeline: CommitPipeline,
     /// Serialises fuzzy checkpoints against each other. Commits never take
     /// this lock — a checkpoint runs concurrently with all three pipeline
-    /// stages; only a *second* checkpoint waits here.
-    checkpoint_lock: Mutex<()>,
+    /// stages; only a *second* checkpoint waits here. Holds the LSN of
+    /// the last checkpoint's end mark.
+    checkpoint_lock: Mutex<u64>,
     txn_counter: AtomicU64,
     commits_since_gc: AtomicU64,
 }
@@ -170,7 +171,7 @@ impl GraphDb {
                 config.group_commit_max_delay,
                 wal.durable_lsn(),
             ),
-            checkpoint_lock: Mutex::with_rank((), lock_rank::CHECKPOINT, "core.checkpoint"),
+            checkpoint_lock: Mutex::with_rank(0, lock_rank::CHECKPOINT, "core.checkpoint"),
             txn_counter: AtomicU64::new(1),
             commits_since_gc: AtomicU64::new(0),
             config,
@@ -313,17 +314,23 @@ impl GraphDb {
     ///    a matching later end mark; an unpaired begin is ignored.
     /// 5. Segments entirely at or below the begin mark are released
     ///    ([`SegmentedWal::release_upto`]) — everything in them is now
-    ///    owned by the store.
+    ///    owned by the store. Before step 1 the active segment is sealed
+    ///    ([`SegmentedWal::seal_active`]) unless nothing was appended to
+    ///    it since the last checkpoint, so the begin mark opens a fresh
+    ///    segment and this step releases the whole covered log, down to
+    ///    the checkpoint pair itself. A segment still holding unsynced
+    ///    entries is never released.
     pub fn checkpoint(&self) -> Result<()> {
         let inner = &*self.inner;
         // Only a second concurrent checkpoint waits here; commits never
         // take this lock.
-        let _ckpt = inner.checkpoint_lock.lock();
+        let mut last_end_lsn = inner.checkpoint_lock.lock();
         let commits_before = inner.metrics.snapshot().commits;
         let epoch = inner.wal.advance_epoch();
         // Pages flushed from here on carry this epoch in their trailer
         // stamp, dating any later corruption finding.
         inner.store.set_page_stamp(epoch);
+        inner.wal.seal_active(*last_end_lsn)?;
         let (begin_lsn, begin_ts) = {
             let _seq = inner.pipeline.sequence();
             let begin_ts = inner.oracle.current();
@@ -349,6 +356,7 @@ impl GraphDb {
             .pipeline
             .wait_durable(&inner.wal, end_lsn, &inner.metrics)?;
         inner.wal.release_upto(begin_lsn)?;
+        *last_end_lsn = end_lsn;
         let commits_after = inner.metrics.snapshot().commits;
         inner
             .metrics

@@ -7,7 +7,7 @@
 //! checksum with the same CRC-32. This module is the only place those
 //! choices are made:
 //!
-//! * [`crc32`] / [`Crc32`] — table-driven CRC-32 (IEEE 802.3);
+//! * [`crc32`] / [`Crc32`] — slice-by-16 CRC-32 (IEEE 802.3);
 //! * `put_*` — append a value to a growing buffer;
 //! * `get_*` / `set_*` — read or overwrite a value at a fixed offset of a
 //!   fixed-size layout (record slots, page trailers, frame headers);
@@ -24,21 +24,43 @@ use std::mem::size_of;
 
 use crate::value::PropertyValue;
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Folds one byte into a running CRC bit by bit — the definition of the
+/// checksum, and the generator of [`CRC_TABLES`].
+const fn crc32_byte_bitwise(mut crc: u32, byte: u8) -> u32 {
+    crc ^= byte as u32;
+    let mut bit = 0;
+    while bit < 8 {
+        crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+        bit += 1;
+    }
+    crc
+}
+
+/// Slicing-by-16 lookup tables (Kounavis & Berry), built at compile time.
+/// `CRC_TABLES[0]` is the classic byte table; `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so sixteen lookups fold
+/// sixteen input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-            bit += 1;
-        }
-        table[i] = crc;
+        tables[0][i] = crc32_byte_bitwise(0, i as u8);
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// An incremental CRC-32: feeding slices one after another yields the
@@ -53,10 +75,32 @@ impl Default for Crc32 {
 }
 
 impl Crc32 {
-    /// Folds `data` into the running checksum.
+    /// Folds `data` into the running checksum, sixteen bytes per step and
+    /// the tail one byte at a time.
     pub fn update(mut self, data: &[u8]) -> Self {
-        for &byte in data {
-            self.0 = (self.0 >> 8) ^ CRC_TABLE[((self.0 ^ u32::from(byte)) & 0xFF) as usize];
+        let t = &CRC_TABLES;
+        let mut blocks = data.chunks_exact(16);
+        for b in &mut blocks {
+            let lo = self.0 ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            self.0 = t[15][(lo & 0xFF) as usize]
+                ^ t[14][((lo >> 8) & 0xFF) as usize]
+                ^ t[13][((lo >> 16) & 0xFF) as usize]
+                ^ t[12][(lo >> 24) as usize]
+                ^ t[11][usize::from(b[4])]
+                ^ t[10][usize::from(b[5])]
+                ^ t[9][usize::from(b[6])]
+                ^ t[8][usize::from(b[7])]
+                ^ t[7][usize::from(b[8])]
+                ^ t[6][usize::from(b[9])]
+                ^ t[5][usize::from(b[10])]
+                ^ t[4][usize::from(b[11])]
+                ^ t[3][usize::from(b[12])]
+                ^ t[2][usize::from(b[13])]
+                ^ t[1][usize::from(b[14])]
+                ^ t[0][usize::from(b[15])];
+        }
+        for &byte in blocks.remainder() {
+            self.0 = (self.0 >> 8) ^ t[0][((self.0 ^ u32::from(byte)) & 0xFF) as usize];
         }
         self
     }
@@ -313,14 +357,48 @@ mod tests {
         assert!(Reader::new(&out).count(Reader::u32, 1).is_err());
     }
 
+    /// The checksum by its bit-at-a-time definition.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        !data
+            .iter()
+            .fold(0xFFFF_FFFF, |crc, &byte| crc32_byte_bitwise(crc, byte))
+    }
+
+    #[test]
+    fn crc_matches_the_check_value_and_the_bitwise_definition() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        let data: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(151) ^ (i >> 2)) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_incremental_crc_equals_whole(
-            a in proptest::collection::vec(proptest::num::u8::ANY, 0..128),
-            b in proptest::collection::vec(proptest::num::u8::ANY, 0..128),
+            whole in proptest::collection::vec(proptest::num::u8::ANY, 0..256),
+            cuts in (0usize..256, 0usize..256),
         ) {
-            let whole = [a.as_slice(), &b].concat();
-            prop_assert_eq!(crc32(&whole), Crc32::default().update(&a).update(&b).finish());
+            // Two cut points anywhere, so the pieces are rarely multiples
+            // of the sixteen-byte block.
+            let (i, j) = (cuts.0.min(whole.len()), cuts.1.min(whole.len()));
+            let (i, j) = (i.min(j), i.max(j));
+            let pieces = Crc32::default()
+                .update(&whole[..i])
+                .update(&whole[i..j])
+                .update(&whole[j..]);
+            prop_assert_eq!(crc32(&whole), pieces.finish());
+            prop_assert_eq!(crc32(&whole), crc32_bitwise(&whole));
         }
 
         #[test]

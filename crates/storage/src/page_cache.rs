@@ -1,9 +1,19 @@
 //! A small page cache sitting between the record stores and their files.
 //!
-//! Each store file gets its own [`PageCache`]. Pages are loaded on demand,
-//! kept pinned in memory up to a configurable capacity and evicted with an
-//! LRU policy, writing dirty pages back to the file on eviction and on
-//! [`PageCache::flush`].
+//! Each store file gets its own [`PageCache`]. Pages are loaded on demand
+//! into a fixed set of frames, up to a configurable capacity, and evicted
+//! with the CLOCK policy (Corbató, 1968): a hand sweeps the frames, giving
+//! every page hit since the hand last passed a second chance and evicting
+//! the first one that was not. A page starts unreferenced when it is
+//! faulted in, so a page used once goes before one used again. Dirty pages
+//! are written back to the file on eviction and on [`PageCache::flush`].
+//!
+//! A fault costs one positional read (`pread`) straight into the frame it
+//! will occupy — the victim's buffer is reused, so the cache allocates only
+//! while it is below capacity — and the page is then verified in place.
+//! Write-back is a positional write of the frame's buffer. Positional I/O
+//! needs only a shared handle, so [`PageCache::flush`] and
+//! [`PageCache::flush_incremental`] fsync after releasing the cache lock.
 //!
 //! ## Integrity
 //!
@@ -20,7 +30,8 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::ErrorKind;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,15 +102,21 @@ pub struct RecoveryOutcome {
 }
 
 struct Frame {
+    page_no: u64,
     page: Page,
     dirty: bool,
-    last_used: u64,
+    /// Set by every hit; cleared as the CLOCK hand passes.
+    referenced: bool,
 }
 
 struct CacheInner {
-    file: File,
-    frames: HashMap<u64, Frame>,
-    tick: u64,
+    /// Every frame is indexed in `slots`, except the one a fault is
+    /// filling while it runs.
+    frames: Vec<Frame>,
+    /// Page number → index into `frames`.
+    slots: HashMap<u64, usize>,
+    /// The CLOCK hand: the next frame the victim sweep examines.
+    hand: usize,
     stats: PageCacheStats,
     /// Number of pages the backing file is known to contain.
     file_pages: u64,
@@ -112,9 +129,11 @@ struct CacheInner {
     fault: Option<PageFault>,
 }
 
-/// An LRU page cache over a single store file.
+/// A CLOCK page cache over a single store file.
 pub struct PageCache {
     path: PathBuf,
+    /// Read and written only positionally, so no cursor is shared.
+    file: File,
     capacity: usize,
     /// Stamp written into page trailers at write-back (checkpoint epoch;
     /// purely diagnostic).
@@ -145,15 +164,16 @@ impl PageCache {
         let file_pages = len.div_ceil(PAGE_SIZE as u64);
         Ok(PageCache {
             path,
+            file,
             capacity: capacity.max(1),
             stamp: AtomicU64::new(0),
             // Lock-order rank: see the README's lock-rank map (a leaf —
             // never held across another acquisition).
             inner: Mutex::with_rank(
                 CacheInner {
-                    file,
-                    frames: HashMap::new(),
-                    tick: 0,
+                    frames: Vec::new(),
+                    slots: HashMap::new(),
+                    hand: 0,
                     stats: PageCacheStats::default(),
                     file_pages,
                     suspects: None,
@@ -224,27 +244,20 @@ impl PageCache {
     /// Number of pages the backing file currently holds (including pages
     /// only present in the cache and not yet flushed).
     pub fn known_pages(&self) -> u64 {
-        let inner = self.inner.lock();
-        let cached_max = inner.frames.keys().max().map_or(0, |p| p + 1);
-        inner.file_pages.max(cached_max)
+        self.inner.lock().known_pages()
     }
 
     /// Runs `f` over a read-only view of page `page_no`.
     pub fn with_page<R>(&self, page_no: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let mut inner = self.inner.lock();
-        self.ensure_loaded(&mut inner, page_no)?;
-        inner.tick += 1;
-        let tick = inner.tick;
-        let frame = inner.frames.get_mut(&page_no).expect("page just loaded");
-        frame.last_used = tick;
-        Ok(f(frame.page.bytes()))
+        let slot = self.ensure_loaded(&mut inner, page_no)?;
+        Ok(f(inner.frames[slot].page.bytes()))
     }
 
     /// Runs `f` over a mutable view of page `page_no`, marking it dirty.
     pub fn with_page_mut<R>(&self, page_no: u64, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         let mut inner = self.inner.lock();
-        self.ensure_loaded(&mut inner, page_no)?;
-        inner.tick += 1;
+        let slot = self.ensure_loaded(&mut inner, page_no)?;
         inner.stats.record_writes += 1;
         // A suspect page being rewritten during recovery is a torn write
         // the WAL covers: replay is rebuilding it.
@@ -253,31 +266,30 @@ impl PageCache {
                 inner.recovered.push(page_no);
             }
         }
-        let tick = inner.tick;
-        let frame = inner.frames.get_mut(&page_no).expect("page just loaded");
-        frame.last_used = tick;
+        let frame = &mut inner.frames[slot];
         frame.dirty = true;
         Ok(f(frame.page.bytes_mut()))
     }
 
-    /// Writes every dirty page back to the file and syncs it.
+    /// Writes every dirty page back to the file and syncs it. The sync
+    /// runs after the cache lock is released.
     pub fn flush(&self) -> Result<()> {
         let stamp = self.stamp.load(Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        let dirty: Vec<u64> = inner
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        for page_no in dirty {
-            Self::write_back(&mut inner, page_no, stamp)?;
+        {
+            let mut inner = self.inner.lock();
+            for slot in 0..inner.frames.len() {
+                if inner.frames[slot].dirty {
+                    self.write_back(&mut inner, slot, stamp)?;
+                }
+            }
         }
-        inner
-            .file
+        self.sync()
+    }
+
+    fn sync(&self) -> Result<()> {
+        self.file
             .sync_data()
-            .map_err(|e| StorageError::io("syncing store file", e))?;
-        Ok(())
+            .map_err(|e| StorageError::io("syncing store file", e))
     }
 
     /// Fuzzy-checkpoint flush: writes back the pages that are dirty *when
@@ -299,8 +311,8 @@ impl PageCache {
             inner
                 .frames
                 .iter()
-                .filter(|(_, f)| f.dirty)
-                .map(|(&p, _)| p)
+                .filter(|f| f.dirty)
+                .map(|f| f.page_no)
                 .collect()
         };
         let mut flushed = 0u64;
@@ -310,24 +322,18 @@ impl PageCache {
                 // A page may have been evicted (already written back)
                 // since the snapshot; only still-resident dirty pages need
                 // work.
-                if inner.frames.get(&page_no).is_some_and(|f| f.dirty) {
-                    Self::write_back(&mut inner, page_no, stamp)?;
-                    flushed += 1;
+                match inner.slots.get(&page_no) {
+                    Some(&slot) if inner.frames[slot].dirty => {
+                        self.write_back(&mut inner, slot, stamp)?;
+                        flushed += 1;
+                    }
+                    _ => {}
                 }
             }
         }
-        // Sync on a duplicated descriptor so the cache lock is *not* held
-        // across the fsync — concurrent record writes keep landing while
-        // the kernel drains the writeback.
-        let file = {
-            let inner = self.inner.lock();
-            inner
-                .file
-                .try_clone()
-                .map_err(|e| StorageError::io("cloning store file for sync", e))?
-        };
-        file.sync_data()
-            .map_err(|e| StorageError::io("syncing store file", e))?;
+        // The cache lock is *not* held across the fsync: concurrent record
+        // writes keep landing while the kernel drains the writeback.
+        self.sync()?;
         Ok(flushed)
     }
 
@@ -341,36 +347,18 @@ impl PageCache {
     /// by design, never a finding. Does not populate the cache.
     pub fn verify_pages(&self, start: u64, max: usize) -> Result<VerifySweep> {
         let max = max.max(1) as u64;
-        let mut inner = self.inner.lock();
-        let total = {
-            let cached_max = inner.frames.keys().max().map_or(0, |p| p + 1);
-            inner.file_pages.max(cached_max)
-        };
+        let inner = self.inner.lock();
+        let total = inner.known_pages();
         let end = total.min(start.saturating_add(max));
         let mut sweep = VerifySweep::default();
-        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut page = Page::zeroed();
         for page_no in start..end {
             sweep.checked += 1;
-            if inner.frames.contains_key(&page_no) {
+            if inner.slots.contains_key(&page_no) || page_no >= inner.file_pages {
                 continue;
             }
-            if page_no >= inner.file_pages {
-                continue;
-            }
-            buf.fill(0);
-            inner
-                .file
-                .seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))
-                .map_err(|e| StorageError::io("seeking store file", e))?;
-            let mut read = 0usize;
-            while read < PAGE_SIZE {
-                match inner.file.read(&mut buf[read..]) {
-                    Ok(0) => break,
-                    Ok(n) => read += n,
-                    Err(e) => return Err(StorageError::io("reading store page", e)),
-                }
-            }
-            if let PageVerdict::Corrupt { expected, found } = Page::from_bytes(&buf).verify() {
+            self.read_page(page_no, page.bytes_mut())?;
+            if let PageVerdict::Corrupt { expected, found } = page.verify() {
                 sweep.corrupt.push((page_no, expected, found));
             }
         }
@@ -385,91 +373,99 @@ impl PageCache {
 
     /// Number of pages currently resident in the cache.
     pub fn resident_pages(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.inner.lock().slots.len()
     }
 
-    fn ensure_loaded(&self, inner: &mut CacheInner, page_no: u64) -> Result<()> {
-        if inner.frames.contains_key(&page_no) {
+    /// Makes `page_no` resident and returns its frame's slot.
+    fn ensure_loaded(&self, inner: &mut CacheInner, page_no: u64) -> Result<usize> {
+        if let Some(&slot) = inner.slots.get(&page_no) {
             inner.stats.hits += 1;
-            return Ok(());
+            inner.frames[slot].referenced = true;
+            return Ok(slot);
         }
         inner.stats.misses += 1;
-        // Evict if at capacity.
-        while inner.frames.len() >= self.capacity {
-            let victim = inner
-                .frames
-                .iter()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(&p, _)| p)
-                .expect("non-empty cache");
-            if inner.frames[&victim].dirty {
-                let stamp = self.stamp.load(Ordering::Relaxed);
-                Self::write_back(inner, victim, stamp)?;
-            }
-            inner.frames.remove(&victim);
-            inner.stats.evictions += 1;
-        }
-        // Load the page (or a zero page if it lies beyond EOF).
-        let page = if page_no < inner.file_pages {
-            let mut buf = vec![0u8; PAGE_SIZE];
-            inner
-                .file
-                .seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))
-                .map_err(|e| StorageError::io("seeking store file", e))?;
-            let mut read = 0usize;
-            while read < PAGE_SIZE {
-                match inner.file.read(&mut buf[read..]) {
-                    Ok(0) => break,
-                    Ok(n) => read += n,
-                    Err(e) => return Err(StorageError::io("reading store page", e)),
-                }
-            }
-            let page = Page::from_bytes(&buf);
-            // A short tail is legitimate only while it is all zeros (a
-            // crash between file extension and the page write); any other
-            // short or full page must verify.
-            if let PageVerdict::Corrupt { expected, found } = page.verify() {
-                inner.stats.checksum_failures += 1;
-                if let Some(suspects) = inner.suspects.as_mut() {
-                    suspects.entry(page_no).or_insert((expected, found));
-                } else {
-                    return Err(StorageError::PageChecksum {
-                        file: self.file_name(),
-                        page: page_no,
-                        expected,
-                        found,
-                    });
-                }
-            }
-            page
-        } else {
-            Page::zeroed()
-        };
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.frames.insert(
-            page_no,
-            Frame {
-                page,
+        let slot = if inner.frames.len() < self.capacity {
+            inner.frames.push(Frame {
+                page_no,
+                page: Page::zeroed(),
                 dirty: false,
-                last_used: tick,
-            },
-        );
+                referenced: false,
+            });
+            inner.frames.len() - 1
+        } else {
+            let slot = inner.clock_victim();
+            if inner.frames[slot].dirty {
+                let stamp = self.stamp.load(Ordering::Relaxed);
+                self.write_back(inner, slot, stamp)?;
+            }
+            let victim = inner.frames[slot].page_no;
+            inner.slots.remove(&victim);
+            inner.stats.evictions += 1;
+            slot
+        };
+        // From here the slot is indexed under neither page number, so a
+        // failed fault can drop it without serving the victim's bytes.
+        if let Err(e) = self.fault_in(inner, slot, page_no) {
+            inner.remove_frame(slot);
+            return Err(e);
+        }
+        let frame = &mut inner.frames[slot];
+        frame.page_no = page_no;
+        frame.dirty = false;
+        frame.referenced = false;
+        inner.slots.insert(page_no, slot);
+        Ok(slot)
+    }
+
+    /// Reads `page_no` into the (unindexed) frame at `slot` and verifies
+    /// it in place. A page beyond the end of the file reads as zeros.
+    fn fault_in(&self, inner: &mut CacheInner, slot: usize, page_no: u64) -> Result<()> {
+        let buf = inner.frames[slot].page.bytes_mut();
+        if page_no >= inner.file_pages {
+            buf.fill(0);
+            return Ok(());
+        }
+        self.read_page(page_no, buf)?;
+        // A short tail is legitimate only while it is all zeros (a crash
+        // between file extension and the page write); any other short or
+        // full page must verify.
+        if let PageVerdict::Corrupt { expected, found } = inner.frames[slot].page.verify() {
+            inner.stats.checksum_failures += 1;
+            if let Some(suspects) = inner.suspects.as_mut() {
+                suspects.entry(page_no).or_insert((expected, found));
+            } else {
+                return Err(StorageError::PageChecksum {
+                    file: self.file_name(),
+                    page: page_no,
+                    expected,
+                    found,
+                });
+            }
+        }
         Ok(())
     }
 
-    fn write_back(inner: &mut CacheInner, page_no: u64, stamp: u64) -> Result<()> {
+    /// Reads page `page_no` from the file into `buf`, zero-filling
+    /// whatever lies past the end of the file.
+    fn read_page(&self, page_no: u64, buf: &mut [u8]) -> Result<()> {
+        let at = page_no * PAGE_SIZE as u64;
+        let mut read = 0usize;
+        while read < buf.len() {
+            match self.file.read_at(&mut buf[read..], at + read as u64) {
+                Ok(0) => break,
+                Ok(n) => read += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(StorageError::io("reading store page", e)),
+            }
+        }
+        buf[read..].fill(0);
+        Ok(())
+    }
+
+    fn write_back(&self, inner: &mut CacheInner, slot: usize, stamp: u64) -> Result<()> {
         let fault = inner.fault.take();
-        // Destructured borrows: the frame stays borrowed across the file
-        // write without re-fetching it from the map.
-        let CacheInner {
-            frames,
-            file,
-            stats,
-            file_pages,
-            ..
-        } = inner;
-        let frame = frames.get_mut(&page_no).expect("frame present");
+        let frame = &mut inner.frames[slot];
+        let page_no = frame.page_no;
         frame.page.seal(stamp);
         let image: Vec<u8>;
         let bytes: &[u8] = match fault {
@@ -484,17 +480,45 @@ impl PageCache {
             }
         };
         if !bytes.is_empty() {
-            file.seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))
-                .map_err(|e| StorageError::io("seeking store file", e))?;
-            file.write_all(bytes)
+            self.file
+                .write_all_at(bytes, page_no * PAGE_SIZE as u64)
                 .map_err(|e| StorageError::io("writing store page", e))?;
         }
         frame.dirty = false;
-        stats.pages_flushed += 1;
-        if page_no + 1 > *file_pages {
-            *file_pages = page_no + 1;
-        }
+        inner.stats.pages_flushed += 1;
+        inner.file_pages = inner.file_pages.max(page_no + 1);
         Ok(())
+    }
+}
+
+impl CacheInner {
+    /// Advances the CLOCK hand to the first frame not hit since the hand
+    /// last passed it, clearing the referenced bit of every frame it
+    /// skips. Terminates within two sweeps. Called only on a full cache.
+    fn clock_victim(&mut self) -> usize {
+        loop {
+            let slot = self.hand % self.frames.len();
+            self.hand = slot + 1;
+            let frame = &mut self.frames[slot];
+            if !std::mem::take(&mut frame.referenced) {
+                return slot;
+            }
+        }
+    }
+
+    /// Drops the unindexed frame at `slot`, moving the last frame into its
+    /// place.
+    fn remove_frame(&mut self, slot: usize) {
+        self.frames.swap_remove(slot);
+        if let Some(moved) = self.frames.get(slot) {
+            self.slots.insert(moved.page_no, slot);
+        }
+    }
+
+    /// Pages the file holds, counting pages only resident so far.
+    fn known_pages(&self) -> u64 {
+        let cached_max = self.slots.keys().max().map_or(0, |p| p + 1);
+        self.file_pages.max(cached_max)
     }
 }
 
@@ -513,6 +537,7 @@ mod tests {
     use super::*;
     use crate::pages::PAGE_USABLE_SIZE;
     use crate::test_util::TempDir;
+    use std::io::{Read, Seek, SeekFrom, Write};
 
     #[test]
     fn read_beyond_eof_is_zero_page() {
@@ -574,7 +599,8 @@ mod tests {
         let cache = PageCache::open(&path, 2).unwrap();
         cache.with_page_mut(0, |b| b[1] = 1).unwrap();
         cache.with_page_mut(1, |b| b[1] = 2).unwrap();
-        // This forces eviction of page 0 (least recently used).
+        // This forces eviction of page 0: the first frame the CLOCK hand
+        // reaches that was not hit since it was faulted in.
         cache.with_page_mut(2, |b| b[1] = 3).unwrap();
         assert_eq!(cache.resident_pages(), 2);
         // Page 0 must have been written back and is still readable.
@@ -582,6 +608,61 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.evictions >= 1);
         assert!(stats.pages_flushed >= 1);
+    }
+
+    #[test]
+    fn clock_keeps_a_page_hit_between_every_fault() {
+        let dir = TempDir::new("page_cache_clock");
+        let capacity = 4;
+        let cache = PageCache::open(dir.path().join("store"), capacity).unwrap();
+        cache.with_page_mut(0, |b| b[0] = 42).unwrap();
+        for p in 1..=(4 * capacity as u64) {
+            assert_eq!(cache.with_page(0, |b| b[0]).unwrap(), 42);
+            cache.with_page(100 + p, |_| ()).unwrap();
+        }
+        assert_eq!(cache.with_page(0, |b| b[0]).unwrap(), 42);
+        let stats = cache.stats();
+        // One miss for the hot page, one per swept page, and nothing else.
+        assert_eq!(stats.misses, 1 + 4 * capacity as u64);
+        assert!(stats.evictions >= 3 * capacity as u64);
+        assert_eq!(cache.resident_pages(), capacity);
+    }
+
+    #[test]
+    fn failed_fault_in_never_serves_the_victims_bytes() {
+        let dir = TempDir::new("page_cache_failed_fault");
+        let path = dir.path().join("store");
+        let capacity = 2;
+        {
+            let cache = PageCache::open(&path, 8).unwrap();
+            for p in 0..4u64 {
+                cache.with_page_mut(p, |b| b[0] = p as u8 + 1).unwrap();
+            }
+            cache.flush().unwrap();
+        }
+        flip_byte_on_disk(&path, 3, 10);
+        let cache = PageCache::open(&path, capacity).unwrap();
+        let mut first = None;
+        for round in 0..3 {
+            // Fill the cache so the corrupt page's fault has to evict.
+            for p in 0..3u64 {
+                assert_eq!(cache.with_page(p, |b| b[0]).unwrap(), p as u8 + 1);
+            }
+            match cache.with_page(3, |b| b[0]).unwrap_err() {
+                StorageError::PageChecksum {
+                    page: 3,
+                    expected,
+                    found,
+                    ..
+                } => assert_eq!(*first.get_or_insert((expected, found)), (expected, found)),
+                other => panic!("round {round}: expected PageChecksum, got {other}"),
+            }
+            assert!(cache.resident_pages() <= capacity);
+        }
+        assert_eq!(cache.stats().checksum_failures, 3);
+        for p in 0..3u64 {
+            assert_eq!(cache.with_page(p, |b| b[0]).unwrap(), p as u8 + 1);
+        }
     }
 
     #[test]

@@ -570,16 +570,26 @@ impl SegmentedWal {
     /// entry appended to the new segment was non-durable by definition
     /// (the durable watermark cannot pass the unsynced header).
     pub fn rotate_if_needed(&self) -> Result<bool> {
-        {
-            let inner = self.inner.lock();
-            if inner.active.bytes < self.segment_bytes {
-                return Ok(false);
-            }
-        }
+        self.rotate(|inner| inner.active.bytes >= self.segment_bytes)
+    }
+
+    /// Seals the active segment whatever its size, so that a checkpoint
+    /// whose begin mark follows can release it — unless the segment holds
+    /// nothing past its header and LSN `after` (the previous checkpoint's
+    /// end mark), in which case sealing would only create a file. Returns
+    /// whether a seal happened. Same path and crash safety as
+    /// [`SegmentedWal::rotate_if_needed`].
+    pub fn seal_active(&self, after: u64) -> Result<bool> {
+        self.rotate(|inner| inner.next_lsn - 1 > inner.active.first_lsn.max(after))
+    }
+
+    /// Switches appends to a new segment when `due` holds, checked under
+    /// the lock that performs the switch.
+    fn rotate(&self, due: impl Fn(&WalInner) -> bool) -> Result<bool> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if inner.active.bytes < self.segment_bytes {
-            return Ok(false); // another rotator won the race
+        if !due(inner) {
+            return Ok(false);
         }
         let seq = inner.active.seq + 1;
         let path = self.dir.join(segment_file_name(seq));
@@ -1024,6 +1034,26 @@ mod tests {
         // A watermark below the first retained LSN deletes nothing.
         assert_eq!(wal.release_upto(0).unwrap(), 0);
         assert_eq!(wal.segment_count(), segments);
+    }
+
+    #[test]
+    fn seal_active_skips_a_segment_with_nothing_new() {
+        let dir = TempDir::new("wal_seal_active");
+        let wal = open(&dir, SyncPolicy::OnDemand, BIG);
+        assert!(!wal.seal_active(0).unwrap(), "header only");
+        let lsn = wal.append(b"covered").unwrap();
+        assert!(wal.seal_active(0).unwrap());
+        assert_eq!(wal.segment_count(), 2);
+        assert!(
+            !wal.seal_active(0).unwrap(),
+            "the new segment is header only"
+        );
+        let mark = wal.append(b"checkpoint mark").unwrap();
+        assert!(!wal.seal_active(mark).unwrap(), "nothing after the mark");
+        wal.sync_appended().unwrap();
+        assert_eq!(wal.release_upto(lsn).unwrap(), 1);
+        assert_eq!(wal.segment_count(), 1);
+        assert_eq!(data_entries(&wal.scan().unwrap()).len(), 1);
     }
 
     #[test]

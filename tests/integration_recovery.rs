@@ -222,6 +222,54 @@ fn checkpoint_retires_covered_wal_segments_and_preserves_data() {
     assert_eq!(tx.nodes_with_label("Bulk").unwrap().count(), 200);
 }
 
+/// A checkpoint after the last commit retires the whole log it covers,
+/// the active segment included: what remains is one segment header and
+/// the checkpoint's own begin/end pair. An idle checkpoint after that
+/// creates no segment.
+#[test]
+fn idle_checkpoint_retires_the_active_segment() {
+    let dir = TempDir::new("rec_idle_ckpt");
+    let empty_dir = TempDir::new("rec_idle_ckpt_empty");
+    // The floor: a fresh log (one header, nothing to seal) plus one pair.
+    let floor = {
+        let db = GraphDb::open(empty_dir.path(), config()).unwrap();
+        db.checkpoint().unwrap();
+        db.metrics().wal_retained_bytes
+    };
+    let mut nodes = Vec::new();
+    {
+        let db = GraphDb::open(dir.path(), config()).unwrap();
+        for i in 0..50i64 {
+            let mut tx = db.begin();
+            nodes.push(
+                tx.create_node(&["Acked"], &[("i", PropertyValue::Int(i))])
+                    .unwrap(),
+            );
+            tx.commit().unwrap();
+        }
+        db.checkpoint().unwrap();
+        let after = db.metrics();
+        assert!(
+            after.wal_retained_bytes <= floor,
+            "retained {} bytes, a header plus the checkpoint pair is {floor}",
+            after.wal_retained_bytes
+        );
+        db.checkpoint().unwrap();
+        let again = db.metrics();
+        assert_eq!(again.wal_segments_created, after.wal_segments_created);
+        assert_eq!(wal_segment_paths(dir.path()).len(), 1);
+    }
+    let db = GraphDb::open(dir.path(), config()).unwrap();
+    let tx = db.begin();
+    for (i, &node) in nodes.iter().enumerate() {
+        assert_eq!(
+            tx.node_property(node, "i").unwrap(),
+            Some(PropertyValue::Int(i as i64))
+        );
+    }
+    assert_eq!(tx.nodes_with_label("Acked").unwrap().count(), nodes.len());
+}
+
 #[test]
 fn snapshot_timestamps_resume_after_reopen() {
     let dir = TempDir::new("rec_timestamps");
